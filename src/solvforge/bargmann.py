@@ -33,6 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import verify
+from .darboux import log_det_potential
 from .errors import (
     DirectionMismatchError,
     DuplicateSpectralError,
@@ -258,11 +259,7 @@ def bargmann_potential(sset: BargmannSeedSet, pm: PMatrix | None = None) -> Samp
     td = _trace(y) - _trace(x @ x)
     tdd = _trace(z) - 3.0 * _trace(x @ y) + 2.0 * _trace(x @ x @ x)
 
-    ratio = hd / hv
-    v = sset.v0.values + ratio * t - 2.0 * td
-    ratio_d = hdd / hv - ratio * ratio
-    vd = sset.v0.derivs + ratio_d * t + ratio * td - 2.0 * tdd
-    return SampledField(sset.grid, v, vd)
+    return log_det_potential(sset.v0, hf, hdd, t, td, tdd)
 
 
 def _seed_images(pm: PMatrix, phi, dphi, coeff):

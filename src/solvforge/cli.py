@@ -21,8 +21,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -64,6 +66,7 @@ from .solver import (
     REGULAR_AT_LEFT,
     CustomBC,
     Solution,
+    bc_for,
     seed_from_expression,
     solve,
 )
@@ -86,10 +89,6 @@ _STRUCTURAL_ERRORS = (
 )
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
 def _atomic_write(path: str, text: str) -> None:
     tmp = path + ".tmp"
     with open(tmp, "w") as fh:
@@ -101,51 +100,11 @@ def _atomic_write(path: str, text: str) -> None:
 # CSV schemas
 
 
-def _csv_potential(grid: RadialGrid, field: SampledField) -> str:
-    lines = ["r,V"]
-    r = grid.r
-    for i in range(grid.n):
-        lines.append(f"{_fmt(r[i])},{_fmt(field.values[i])}")
-    return "\n".join(lines) + "\n"
-
-
-def _csv_potential_matrix(grid: RadialGrid, vmat) -> str:
-    n_ch = len(vmat)
-    header = "r," + ",".join(f"V_{a + 1}{b + 1}" for a in range(n_ch) for b in range(n_ch))
-    lines = [header]
-    r = grid.r
-    cols = [vmat[a][b].values for a in range(n_ch) for b in range(n_ch)]
-    for i in range(grid.n):
-        lines.append(_fmt(r[i]) + "," + ",".join(_fmt(c[i]) for c in cols))
-    return "\n".join(lines) + "\n"
-
-
-def _csv_solution(grid: RadialGrid, sol: Solution) -> str:
-    lines = ["r,phi,dphi"]
-    r = grid.r
-    for i in range(grid.n):
-        lines.append(f"{_fmt(r[i])},{_fmt(sol.values[i])},{_fmt(sol.derivs[i])}")
-    return "\n".join(lines) + "\n"
-
-
-def _csv_solution_matrix(grid: RadialGrid, phimat) -> str:
-    n_ch = len(phimat)
-    header = "r," + ",".join(
-        f"phi_{a + 1}{b + 1},dphi_{a + 1}{b + 1}" for a in range(n_ch) for b in range(n_ch)
-    )
-    lines = [header]
-    r = grid.r
-    cols = []
-    for a in range(n_ch):
-        for b in range(n_ch):
-            cols.append((phimat[a][b].values, phimat[a][b].derivs))
-    for i in range(grid.n):
-        row = [_fmt(r[i])]
-        for v, d in cols:
-            row.append(_fmt(v[i]))
-            row.append(_fmt(d[i]))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], columns: list[np.ndarray]) -> str:
+    """CSV text: the header line, then one row per grid node with every
+    number printed to 17 significant digits."""
+    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+    return ",".join(header) + "\n" + "".join(map(row.format, *(c.tolist() for c in columns)))
 
 
 def _read_csv(path: str, expected_header: list[str]) -> dict[str, np.ndarray]:
@@ -193,12 +152,19 @@ def _load_config(path: str) -> tuple[dict, str]:
     return cfg, hashlib.sha256(raw).hexdigest()
 
 
+def _number(val, what: str) -> float:
+    """A JSON number (not a bool) as a float."""
+    if isinstance(val, (int, float)) and not isinstance(val, bool):
+        return float(val)
+    raise ConfigError(f"{what} must be a number")
+
+
 def _cfg_get(cfg: dict, key: str, kind, where: str = "config"):
     if key not in cfg:
         raise ConfigError(f"{where}: missing required key {key!r}")
     val = cfg[key]
-    if kind is float and isinstance(val, (int, float)) and not isinstance(val, bool):
-        return float(val)
+    if kind is float:
+        return _number(val, f"{where}: key {key!r}")
     if not isinstance(val, kind):
         raise ConfigError(f"{where}: key {key!r} must be {kind.__name__}")
     return val
@@ -256,15 +222,60 @@ def _seed_solution(seed_cfg: dict, grid, V0f, hf, where: str) -> Solution:
     raise ConfigError(f"{where}: seed needs either 'expr' or 'bc'")
 
 
-def _eval_bc(direction: Direction):
-    return REGULAR_AT_LEFT if direction is Direction.FROM_LEFT else JOST_AT_RIGHT
+def _seeds(cfg: dict, mode: str, grid, V0f, hf) -> list[BargmannSeed]:
+    """The single-channel seeds; darboux seeds take no C and carry 0."""
+    seed_cfgs = _cfg_get(cfg, "seeds", list)
+    if mode == "bargmann" and not seed_cfgs:
+        raise ConfigError("bargmann mode needs at least one seed")
+    if mode != "bargmann" and len(seed_cfgs) != 1:
+        raise ConfigError(f"{mode} mode takes exactly one seed")
+    seeds = []
+    for k, scfg in enumerate(seed_cfgs):
+        where = f"seeds[{k}]"
+        if not isinstance(scfg, dict):
+            raise ConfigError(f"{where}: a seed must be an object")
+        coeff = 0.0 if mode == "darboux" else _cfg_get(scfg, "C", float, where)
+        sol = _seed_solution(scfg, grid, V0f, hf, where)
+        seeds.append(BargmannSeed(sol.gamma_sq, coeff, sol))
+    return seeds
+
+
+def _eval_gammas(cfg: dict, multichannel: bool) -> list:
+    """eval_gammas as floats, or as lists of floats for multichannel jobs."""
+    gammas = cfg.get("eval_gammas", [])
+    if not isinstance(gammas, list):
+        raise ConfigError("eval_gammas must be a list of gamma^2 values")
+    if not multichannel:
+        return [_number(g, f"eval_gammas[{k}]") for k, g in enumerate(gammas)]
+    if not all(isinstance(g, list) for g in gammas):
+        raise ConfigError("multichannel eval_gammas entries must be lists of gamma^2 values")
+    return [
+        [_number(x, f"eval_gammas[{k}][{j}]") for j, x in enumerate(g)]
+        for k, g in enumerate(gammas)
+    ]
+
+
+def _sup(x: np.ndarray) -> float:
+    return float(np.max(np.abs(x)))
 
 
 # ---------------------------------------------------------------------------
 # job execution
 
 
-def _run_single_channel(cfg, grid, direction, tol):
+class _Job(NamedTuple):
+    """One constructed transform, in the shape the run pipeline consumes."""
+
+    potential: tuple[list[str], list[np.ndarray]]  # CSV header and columns
+    solution_header: list[str]
+    # (record head, residual report, CSV columns or None) per seed-image check
+    seed_checks: list[tuple]
+    # eval_gammas entry -> (residual report, CSV columns, {cross-check: sup norm})
+    evaluate: Callable
+    extras: dict  # report entries fixed by the construction
+
+
+def _single_channel(cfg, grid, direction, tol) -> _Job:
     base = _cfg_get(cfg, "base", dict)
     h_expr = _parse_expr(_cfg_get(base, "h", str, "base"), "base.h")
     v0_expr = _parse_expr(_cfg_get(base, "V0", str, "base"), "base.V0")
@@ -275,91 +286,54 @@ def _run_single_channel(cfg, grid, direction, tol):
         raise ConfigError(f"base expressions not evaluable on the grid: {exc}") from exc
 
     mode = cfg["mode"]
-    eval_gammas = cfg.get("eval_gammas", [])
-    if not isinstance(eval_gammas, list):
-        raise ConfigError("eval_gammas must be a list of gamma^2 values")
-
-    residuals = []
+    seeds = _seeds(cfg, mode, grid, v0f, hf)
+    seed = seeds[0].phi0
     extras: dict = {}
-    solutions: list[tuple[str, Solution]] = []
-
+    images: list[Solution] = []
     if mode == "darboux":
-        seeds = _cfg_get(cfg, "seeds", list)
-        if len(seeds) != 1:
-            raise ConfigError("darboux mode takes exactly one seed")
-        seed = _seed_solution(seeds[0], grid, v0f, hf, "seeds[0]")
         potential = darboux_potential(seed, h_expr, v0f)
-        for k, gsq in enumerate(eval_gammas):
-            phi0 = solve(v0f, hf, float(gsq), _eval_bc(direction))
-            phi = darboux_solution(seed, hf, phi0)
-            rep = verify_mod.residual(potential, hf, phi, tol=tol)
-            residuals.append({"kind": "transformed", "gamma_sq": float(gsq), **rep.to_dict()})
-            solutions.append((f"solution_{k:03d}", phi))
+
+        def transform(phi0):
+            return darboux_solution(seed, hf, phi0), {}
 
     elif mode == "chain":
-        seeds = _cfg_get(cfg, "seeds", list)
-        if len(seeds) != 1:
-            raise ConfigError("chain mode takes exactly one seed")
-        coeff = _cfg_get(seeds[0], "C", float, "seeds[0]")
-        seed = _seed_solution(seeds[0], grid, v0f, hf, "seeds[0]")
         first = darboux_transform(seed, h_expr, v0f)
-        potential, smap = chain_second_step(first, coeff, direction)
-        sset = make_seed_set(
-            [BargmannSeed(seed.gamma_sq, coeff, seed)], v0f, h_expr, direction
-        )
+        potential, smap = chain_second_step(first, seeds[0].coeff, direction)
+        sset = make_seed_set(seeds, v0f, h_expr, direction)
         pm = p_matrix(sset)
-        v_b = bargmann_potential(sset, pm)
-        extras["chain_vs_bargmann_supnorm"] = float(
-            np.max(np.abs(potential.values - v_b.values))
+        extras["chain_vs_bargmann_supnorm"] = _sup(
+            potential.values - bargmann_potential(sset, pm).values
         )
-        sol_sup = 0.0
-        for k, gsq in enumerate(eval_gammas):
-            phi0 = solve(v0f, hf, float(gsq), _eval_bc(direction))
-            phi = smap(phi0)
-            phi_b = bargmann_solution(sset, pm, phi0)
-            sol_sup = max(sol_sup, float(np.max(np.abs(phi.values - phi_b.values))))
-            rep = verify_mod.residual(potential, hf, phi, tol=tol)
-            residuals.append({"kind": "transformed", "gamma_sq": float(gsq), **rep.to_dict()})
-            solutions.append((f"solution_{k:03d}", phi))
-        if eval_gammas:
-            extras["chain_vs_bargmann_solution_supnorm"] = sol_sup
 
-    elif mode == "bargmann":
-        seed_cfgs = _cfg_get(cfg, "seeds", list)
-        if not seed_cfgs:
-            raise ConfigError("bargmann mode needs at least one seed")
-        bseeds = []
-        for k, scfg in enumerate(seed_cfgs):
-            coeff = _cfg_get(scfg, "C", float, f"seeds[{k}]")
-            sol = _seed_solution(scfg, grid, v0f, hf, f"seeds[{k}]")
-            bseeds.append(BargmannSeed(sol.gamma_sq, coeff, sol))
-        sset = make_seed_set(bseeds, v0f, h_expr, direction)
+        def transform(phi0):
+            phi = smap(phi0)
+            gap = _sup(phi.values - bargmann_solution(sset, pm, phi0).values)
+            return phi, {"chain_vs_bargmann_solution_supnorm": gap}
+
+    else:
+        sset = make_seed_set(seeds, v0f, h_expr, direction)
         pm = p_matrix(sset)
         potential = bargmann_potential(sset, pm)
         extras["p_matrix"] = pm.condition_summary()
-        for k, y in enumerate(transformed_seed_solutions(sset, pm)):
-            rep = verify_mod.residual(potential, hf, y, tol=tol)
-            residuals.append(
-                {"kind": "seed_image", "gamma_sq": y.gamma_sq, **rep.to_dict()}
-            )
-            solutions.append((f"seed_solution_{k:03d}", y))
-        for k, gsq in enumerate(eval_gammas):
-            phi0 = solve(v0f, hf, float(gsq), _eval_bc(direction))
-            phi = bargmann_solution(sset, pm, phi0)
-            rep = verify_mod.residual(potential, hf, phi, tol=tol)
-            residuals.append({"kind": "transformed", "gamma_sq": float(gsq), **rep.to_dict()})
-            solutions.append((f"solution_{k:03d}", phi))
+        images = transformed_seed_solutions(sset, pm)
 
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
+        def transform(phi0):
+            return bargmann_solution(sset, pm, phi0), {}
 
-    artifacts = {"potential": _csv_potential(grid, potential)}
-    for name, sol in solutions:
-        artifacts[name] = _csv_solution(grid, sol)
-    return artifacts, residuals, extras
+    def checked(phi):
+        return verify_mod.residual(potential, hf, phi, tol=tol), [grid.r, phi.values, phi.derivs]
+
+    def evaluate(gamma_sq):
+        phi, checks = transform(solve(v0f, hf, gamma_sq, bc_for(direction)))
+        return (*checked(phi), checks)
+
+    seed_checks = [({"kind": "seed_image", "gamma_sq": y.gamma_sq}, *checked(y)) for y in images]
+    return _Job(
+        (["r", "V"], [grid.r, potential.values]), ["r", "phi", "dphi"], seed_checks, evaluate, extras
+    )
 
 
-def _run_multichannel(cfg, grid, direction, tol):
+def _multichannel(cfg, grid, direction, tol) -> _Job:
     base = _cfg_get(cfg, "base", dict)
     v0_list = _cfg_get(base, "V0", list, "base")
     h_text = _cfg_get(base, "h", str, "base")
@@ -382,69 +356,72 @@ def _run_multichannel(cfg, grid, direction, tol):
 
     vmat = multichannel_potential(cs)
     n_ch = cs.n_channels
-    sym = max(
-        float(np.max(np.abs(vmat[a][b].values - vmat[b][a].values)))
-        for a in range(n_ch)
-        for b in range(n_ch)
-    )
-    extras = {"symmetry_defect": sym}
+    pairs = [(a, b) for a in range(n_ch) for b in range(n_ch)]
+    labels = [f"{a + 1}{b + 1}" for a, b in pairs]
 
-    residuals = []
     psi = transformed_seed_vectors(cs)
     psimat = tuple(
         (Solution(cs.gamma_prime_sq[a], psi[a], CustomBC(0.0, 0.0, "left")),)
         for a in range(n_ch)
     )
-    rep = verify_mod.matrix_residual(vmat, cs.h_field, psimat, cs.gamma_prime_sq, tol=tol)
-    residuals.append({"kind": "transformed_seed_vectors", **rep.to_dict()})
+    seed_rep = verify_mod.matrix_residual(vmat, cs.h_field, psimat, cs.gamma_prime_sq, tol=tol)
 
-    artifacts = {"potential": _csv_potential_matrix(grid, vmat)}
-    forms_gap = 0.0
-    eval_gammas = cfg.get("eval_gammas", [])
-    for k, gvec in enumerate(eval_gammas):
-        if not isinstance(gvec, list) or len(gvec) != n_ch:
-            raise ConfigError(
-                f"eval_gammas[{k}]: multichannel evaluation spectra must be "
-                f"lists of {n_ch} gamma^2 values"
-            )
-        gnew = [float(x) for x in gvec]
+    def evaluate(gnew):
+        if len(gnew) != n_ch:
+            raise ConfigError(f"multichannel eval_gammas entries must hold {n_ch} values, got {gnew}")
         phi = multichannel_solution(cs, gnew)
-        delta = gnew[0] - cs.gamma_prime_sq[0]
-        if abs(delta) >= 1e-8:
+        gap = 0.0
+        if abs(gnew[0] - cs.gamma_prime_sq[0]) >= 1e-8:
             phi_w = multichannel_solution(cs, gnew, form="wronskian")
-            forms_gap = max(
-                forms_gap,
-                max(
-                    float(np.max(np.abs(phi[a][b].values - phi_w[a][b].values)))
-                    for a in range(n_ch)
-                    for b in range(n_ch)
-                ),
-            )
+            gap = max(_sup(phi[a][b].values - phi_w[a][b].values) for a, b in pairs)
         rep = verify_mod.matrix_residual(vmat, cs.h_field, phi, gnew, tol=tol)
-        residuals.append({"kind": "transformed", "gamma_sq": gnew, **rep.to_dict()})
-        artifacts[f"solution_{k:03d}"] = _csv_solution_matrix(grid, phi)
-    if eval_gammas:
-        extras["forms_max_diff"] = forms_gap
-    return artifacts, residuals, extras
+        columns = [grid.r] + [c for a, b in pairs for c in (phi[a][b].values, phi[a][b].derivs)]
+        return rep, columns, {"forms_max_diff": gap}
+
+    return _Job(
+        (["r"] + [f"V_{ab}" for ab in labels], [grid.r] + [vmat[a][b].values for a, b in pairs]),
+        ["r"] + [f"{name}_{ab}" for ab in labels for name in ("phi", "dphi")],
+        [({"kind": "transformed_seed_vectors"}, seed_rep, None)],
+        evaluate,
+        {"symmetry_defect": max(_sup(vmat[a][b].values - vmat[b][a].values) for a, b in pairs)},
+    )
 
 
 def cmd_run(args) -> int:
     cfg, sha = _load_config(args.config)
     mode = _cfg_get(cfg, "mode", str)
+    if mode not in ("darboux", "chain", "bargmann", "multichannel"):
+        raise ConfigError(f"unknown mode {mode!r}")
     grid = _grid_from_config(cfg)
     direction = _direction_from_config(cfg)
-    tol = float(cfg.get("tolerance", verify_mod.default_tolerance()))
+    tol = _number(cfg.get("tolerance", verify_mod.default_tolerance()), "tolerance")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"tolerance must be a finite number > 0, got {tol!r}")
+    gammas = _eval_gammas(cfg, mode == "multichannel")
 
     out_cfg = cfg.get("output", {})
     if not isinstance(out_cfg, dict):
         raise ConfigError("output must be an object")
     out_dir = args.out_dir or out_cfg.get("dir", ".")
     prefix = out_cfg.get("prefix", "job")
+    if not isinstance(prefix, str) or prefix in (".", "..") or {"/", os.sep, "\0"} & set(prefix):
+        raise ConfigError(f"output.prefix must be a plain file-name prefix, got {prefix!r}")
 
-    if mode == "multichannel":
-        artifacts, residuals, extras = _run_multichannel(cfg, grid, direction, tol)
-    else:
-        artifacts, residuals, extras = _run_single_channel(cfg, grid, direction, tol)
+    build = _multichannel if mode == "multichannel" else _single_channel
+    job = build(cfg, grid, direction, tol)
+    artifacts = {"potential": _csv(*job.potential)}
+    residuals = []
+    extras = dict(job.extras)
+    for k, (head, rep, columns) in enumerate(job.seed_checks):
+        residuals.append({**head, **rep.to_dict()})
+        if columns is not None:
+            artifacts[f"seed_solution_{k:03d}"] = _csv(job.solution_header, columns)
+    for k, gamma_sq in enumerate(gammas):
+        rep, columns, checks = job.evaluate(gamma_sq)
+        residuals.append({"kind": "transformed", "gamma_sq": gamma_sq, **rep.to_dict()})
+        artifacts[f"solution_{k:03d}"] = _csv(job.solution_header, columns)
+        for key, gap in checks.items():
+            extras[key] = max(extras.get(key, 0.0), gap)
 
     all_passed = all(r["passed"] for r in residuals)
     os.makedirs(out_dir, exist_ok=True)

@@ -218,6 +218,18 @@ def _check_direction(bc, direction: Direction) -> None:
         raise DirectionMismatchError("decaying (Jost-type) seeds pair with the from-right integral")
 
 
+def log_det_potential(V0: SampledField, hf: SampledField, hdd, t, td, tdd) -> SampledField:
+    """V = V0 - 2 sqrt(h) d/dr[(1/sqrt(h)) t] = V0 + (h'/h) t - 2 t', with its
+    derivative channel, for t = (ln F)' of the transform's factor F (P for
+    the chain, det P for a seed set); hdd is h'' and td, tdd are t', t''."""
+    hv, hd = hf.values, hf.derivs
+    ratio = hd / hv
+    v = V0.values + ratio * t - 2.0 * td
+    ratio_d = hdd / hv - ratio * ratio
+    vd = V0.derivs + ratio_d * t + ratio * td - 2.0 * tdd
+    return SampledField(V0.grid, v, vd)
+
+
 def chain_second_step(
     first: DarbouxTransform,
     C: float,
@@ -254,11 +266,7 @@ def chain_second_step(
     td = Nd / P - t * t
     tdd = Ndd / P - 3.0 * N * Nd / (P * P) + 2.0 * t * t * t
 
-    ratio = hd / hv
-    v2 = first.base_potential.values + ratio * t - 2.0 * td
-    ratio_d = hdd / hv - ratio * ratio
-    v2d = first.base_potential.derivs + ratio_d * t + ratio * td - 2.0 * tdd
-    potential = SampledField(grid, v2, v2d)
+    potential = log_det_potential(first.base_potential, hf, hdd, t, td, tdd)
 
     def solution_map(phi0: Solution) -> Solution:
         if phi0.grid != grid:

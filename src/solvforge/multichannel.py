@@ -42,14 +42,7 @@ from .errors import (
 )
 from .expr import AnalyticExpr, evaluate_on_grid, parse
 from .grid import Direction, RadialGrid, SampledField, constant_field, signed_prefix
-from .solver import (
-    JOST_AT_RIGHT,
-    REGULAR_AT_LEFT,
-    SEED_RESIDUAL_TOL,
-    CustomBC,
-    Solution,
-    solve,
-)
+from .solver import SEED_RESIDUAL_TOL, CustomBC, Solution, bc_for, solve
 
 __all__ = [
     "ChannelSystem",
@@ -122,10 +115,6 @@ class ChannelSystem:
         )
 
 
-def _bc_for(direction: Direction):
-    return REGULAR_AT_LEFT if direction is Direction.FROM_LEFT else JOST_AT_RIGHT
-
-
 def _zero_solution(grid: RadialGrid, gamma_sq: float) -> Solution:
     z = constant_field(grid, 0.0)
     return Solution(float(gamma_sq), z, CustomBC(0.0, 0.0, "left"))
@@ -143,7 +132,7 @@ def _diagonal_matrix_solutions(
     grid = h_field.grid
     rows = []
     for a in range(n):
-        u = solve(cs_like_v0[a][a], h_field, float(gamma_sq[a]), _bc_for(direction))
+        u = solve(cs_like_v0[a][a], h_field, float(gamma_sq[a]), bc_for(direction))
         rows.append(
             tuple(u if b == a else _zero_solution(grid, float(gamma_sq[a])) for b in range(n))
         )

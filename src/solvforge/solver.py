@@ -28,7 +28,7 @@ from .errors import (
     SeedRejectedError,
 )
 from .expr import AnalyticExpr, evaluate_on_grid, parse
-from .grid import RadialGrid, SampledField
+from .grid import Direction, RadialGrid, SampledField
 
 __all__ = [
     "RegularAtLeft",
@@ -38,6 +38,7 @@ __all__ = [
     "REGULAR_AT_LEFT",
     "JOST_AT_RIGHT",
     "Solution",
+    "bc_for",
     "solve",
     "seed_from_expression",
     "default_grid",
@@ -85,6 +86,11 @@ BoundaryCondition = Union[RegularAtLeft, JostAtRight, CustomBC]
 
 REGULAR_AT_LEFT = RegularAtLeft()
 JOST_AT_RIGHT = JostAtRight()
+
+
+def bc_for(direction: Direction) -> BoundaryCondition:
+    """Boundary class that pairs with `direction`: regular from-left, Jost-type from-right."""
+    return REGULAR_AT_LEFT if direction is Direction.FROM_LEFT else JOST_AT_RIGHT
 
 
 @dataclass(frozen=True)

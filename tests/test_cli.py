@@ -25,6 +25,17 @@ def _darboux_config(out_dir, grid=None):
     }
 
 
+def _multichannel_config(out_dir):
+    return {
+        "grid": {"a": 0.0, "b": 5.0, "n": 5001},
+        "base": {"V0": ["0", "-2/(1+r)^2"], "h": "1 + exp(-r)"},
+        "mode": "multichannel",
+        "seeds": {"gamma_prime_sq": [-1.0, -1.5], "c": [0.6, 0.4]},
+        "eval_gammas": [[0.0, -0.5], [1.5, 1.0]],
+        "output": {"dir": out_dir, "prefix": "mc"},
+    }
+
+
 def _read_csv_columns(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -124,14 +135,7 @@ class TestRunOtherModes:
 
     def test_multichannel_job(self, tmp_path):
         out = tmp_path / "out"
-        cfg = {
-            "grid": {"a": 0.0, "b": 5.0, "n": 5001},
-            "base": {"V0": ["0", "-2/(1+r)^2"], "h": "1 + exp(-r)"},
-            "mode": "multichannel",
-            "seeds": {"gamma_prime_sq": [-1.0, -1.5], "c": [0.6, 0.4]},
-            "eval_gammas": [[0.0, -0.5], [1.5, 1.0]],
-            "output": {"dir": str(out), "prefix": "mc"},
-        }
+        cfg = _multichannel_config(str(out))
         rc = main(["run", _write_config(tmp_path / "job.json", cfg)])
         assert rc == 0
         header, data = _read_csv_columns(out / "mc_potential.csv")
@@ -142,7 +146,9 @@ class TestRunOtherModes:
         assert report["symmetry_defect"] <= 1e-5
         assert report["forms_max_diff"] <= 1e-7
         header, _ = _read_csv_columns(out / "mc_solution_000.csv")
-        assert header[0] == "r" and "phi_11" in header and "dphi_22" in header
+        assert header == [
+            "r", "phi_11", "dphi_11", "phi_12", "dphi_12", "phi_21", "dphi_21", "phi_22", "dphi_22"
+        ]
 
 
 class TestConfigErrors:
@@ -157,6 +163,36 @@ class TestConfigErrors:
 
     def test_unreadable_config(self, tmp_path):
         assert main(["run", str(tmp_path / "missing.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "multichannel, key, value",
+        [
+            (False, "tolerance", "tight"),
+            (False, "tolerance", float("nan")),
+            (False, "tolerance", -1),
+            (False, "eval_gammas", ["x"]),
+            (False, "seeds", [3]),
+            (True, "eval_gammas", [["a", "b"]]),
+        ],
+        ids=["tol-string", "tol-nan", "tol-negative", "gamma-string", "seed-not-object",
+             "multichannel-gamma-strings"],
+    )
+    def test_malformed_value_exits_2_cleanly(self, tmp_path, capsys, multichannel, key, value):
+        out = tmp_path / "out"
+        cfg = _multichannel_config(str(out)) if multichannel else _darboux_config(str(out))
+        cfg[key] = value
+        rc = main(["run", _write_config(tmp_path / "job.json", cfg)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("prefix", ["../escaped", "sub/name", "..", "."])
+    def test_prefix_must_stay_in_out_dir(self, tmp_path, prefix):
+        cfg = _darboux_config(str(tmp_path / "out"))
+        cfg["output"]["prefix"] = prefix
+        assert main(["run", _write_config(tmp_path / "job.json", cfg)]) == 2
+        assert [p.name for p in tmp_path.rglob("*")] == ["job.json"]
 
     def test_non_uniform_multichannel_shift(self, tmp_path):
         cfg = {
