@@ -1,8 +1,8 @@
-"""Benchmark the RK4 propagation kernel: compiled extension vs pure Python.
+"""Benchmark the RK4 propagation kernel.
 
-The propagation loop is the only sequential hot path in the package (one
-call per solve, thousands of dependent steps); everything else is
-numpy-vectorized.  Usage:
+Times `solvforge._kernels.rk4_propagate` (the blocked transfer-matrix scan,
+one call per solve) on a fixed profile and prints the best time and ns per
+step at each size.  Usage:
 
     python benchmarks/bench_rk4.py [--sizes 10001,100001] [--repeats 7]
 """
@@ -14,12 +14,7 @@ import timeit
 
 import numpy as np
 
-from solvforge._rk4_py import rk4_propagate as rk4_python
-
-try:
-    from solvforge._rk4_cy import rk4_propagate as rk4_cython
-except ImportError:
-    rk4_cython = None
+from solvforge._kernels import _block_length, rk4_propagate
 
 
 def _inputs(n: int):
@@ -32,11 +27,6 @@ def _inputs(n: int):
     return q, qm, float(step)
 
 
-def _time(fn, q, qm, step, repeats: int) -> float:
-    t = timeit.repeat(lambda: fn(q, qm, step, 0.0, 1.0), number=1, repeat=repeats)
-    return min(t)
-
-
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", default="10001,100001",
@@ -45,21 +35,13 @@ def main() -> int:
     args = ap.parse_args()
     sizes = [int(s) for s in args.sizes.split(",")]
 
-    print(f"{'nodes':>8}  {'python':>12}  {'cython':>12}  {'per step':>10}  {'speedup':>8}")
+    print(f"{'nodes':>8}  {'block':>5}  {'best':>12}  {'per step':>10}")
     for n in sizes:
         q, qm, step = _inputs(n)
-        t_py = _time(rk4_python, q, qm, step, args.repeats)
-        if rk4_cython is not None:
-            p, d = rk4_cython(q, qm, step, 0.0, 1.0)
-            p2, d2 = rk4_python(q, qm, step, 0.0, 1.0)
-            assert np.array_equal(p, p2) and np.array_equal(d, d2), "backend mismatch"
-            t_cy = _time(rk4_cython, q, qm, step, args.repeats)
-            print(
-                f"{n:>8}  {t_py * 1e3:>10.3f} ms  {t_cy * 1e3:>10.3f} ms"
-                f"  {t_cy / (n - 1) * 1e9:>7.1f} ns  {t_py / t_cy:>7.1f}x"
-            )
-        else:
-            print(f"{n:>8}  {t_py * 1e3:>10.3f} ms  {'(not built)':>12}")
+        t = min(timeit.repeat(lambda: rk4_propagate(q, qm, step, 0.0, 1.0),
+                              number=1, repeat=args.repeats))
+        print(f"{n:>8}  {_block_length(n - 1):>5}  {t * 1e3:>9.3f} ms"
+              f"  {t / (n - 1) * 1e9:>7.1f} ns")
     return 0
 
 

@@ -90,7 +90,9 @@ _STRUCTURAL_ERRORS = (
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
+    # a per-process temp name: concurrent runs into one directory, or a stale
+    # leftover, never share the file that is renamed into place
+    tmp = f"{path}.{os.getpid()}.tmp"
     with open(tmp, "w") as fh:
         fh.write(text)
     os.replace(tmp, path)

@@ -27,6 +27,7 @@ C = c^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -97,6 +98,16 @@ class ChannelSystem:
         )
         if not report.passed:
             raise SeedRejectedError(report, text="base solution matrix")
+
+    @cached_property
+    def psi0(self) -> tuple[SampledField, ...]:
+        """The seed vectors (see seed_vectors), computed once per system."""
+        return tuple(seed_vectors(self))
+
+    @cached_property
+    def denominator(self) -> SampledField:
+        """D(r) (see transform_denominator), computed once per system."""
+        return transform_denominator(self)
 
     @property
     def n_channels(self) -> int:
@@ -193,9 +204,8 @@ def transform_denominator(cs: ChannelSystem) -> SampledField:
 
     Monotone nondecreasing from the anchor for the from-left direction; a
     non-positive value (possible only from-right) raises."""
-    psi0 = seed_vectors(cs)
     gsum = constant_field(cs.grid, 0.0)
-    for p in psi0:
+    for p in cs.psi0:
         gsum = gsum + p * p
     d = 1.0 + signed_prefix(cs.h_field * gsum, cs.direction)
     if np.any(d.values <= 0.0):
@@ -207,13 +217,13 @@ def transform_denominator(cs: ChannelSystem) -> SampledField:
 
 def transformed_seed_vectors(cs: ChannelSystem) -> list[SampledField]:
     """psi_a = psi0_a / D."""
-    d = transform_denominator(cs)
-    return [p / d for p in seed_vectors(cs)]
+    d = cs.denominator
+    return [p / d for p in cs.psi0]
 
 
 def _psi_arrays(cs: ChannelSystem):
     """Values and first/second derivatives of psi0 and psi = psi0 / D."""
-    psi0 = seed_vectors(cs)
+    psi0 = cs.psi0
     hv, hd = cs.h_field.values, cs.h_field.derivs
     p0 = np.stack([p.values for p in psi0])  # (N, n)
     p0d = np.stack([p.derivs for p in psi0])
@@ -223,7 +233,7 @@ def _psi_arrays(cs: ChannelSystem):
 
     g = (p0 * p0).sum(axis=0)
     gd = 2.0 * (p0 * p0d).sum(axis=0)
-    dfield = transform_denominator(cs)
+    dfield = cs.denominator
     d, dd = dfield.values, dfield.derivs  # dd = h g exactly
     ddd = hd * g + hv * gd
 
@@ -307,7 +317,7 @@ def multichannel_solution(
         phi0_new = _diagonal_matrix_solutions(cs.v0, cs.h_field, gamma_sq_new, cs.direction)
 
     n = cs.n_channels
-    psi0 = seed_vectors(cs)
+    psi0 = cs.psi0
     psi = transformed_seed_vectors(cs)
 
     solutions = []

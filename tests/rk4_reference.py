@@ -1,7 +1,8 @@
-"""Pure-Python RK4 propagation kernel for phi'' = q(r) phi.
+"""Sequential RK4 propagation loop for phi'' = q(r) phi.
 
-Fallback used when the compiled extension is unavailable.  Same arithmetic,
-same evaluation order as the Cython kernel, so results match bit for bit.
+Reference for the package kernel (solvforge._kernels): one step at a time,
+in the plain evaluation order of classical RK4.  The tests compare the
+blocked-scan kernel against it.
 """
 
 from __future__ import annotations

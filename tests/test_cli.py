@@ -72,6 +72,14 @@ class TestRunDarboux:
         }
         assert first == second
 
+    def test_stale_temp_directory_is_ignored(self, tmp_path):
+        out = tmp_path / "out"
+        (out / "well_potential.csv.tmp").mkdir(parents=True)
+        cfg_path = _write_config(tmp_path / "job.json", _darboux_config(str(out)))
+        assert main(["run", cfg_path]) == 0
+        assert (out / "well_potential.csv").is_file()
+        assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp") and p.is_file()]
+
     def test_singular_seed_exits_3_without_artifacts(self, tmp_path):
         out = tmp_path / "out"
         cfg = _darboux_config(str(out))

@@ -53,6 +53,25 @@ def _vector_matrix(cs, fields, gammas):
     )
 
 
+def test_intermediates_computed_once_per_system(two_channel, monkeypatch):
+    import solvforge.multichannel as mc
+
+    calls = {"seed_vectors": 0, "transform_denominator": 0}
+    for name in calls:
+        orig = getattr(mc, name)
+
+        def counted(cs, orig=orig, name=name):
+            calls[name] += 1
+            return orig(cs)
+
+        monkeypatch.setattr(mc, name, counted)
+    transformed_seed_vectors(two_channel)
+    multichannel_potential(two_channel)
+    multichannel_solution(two_channel, [0.0, -0.5])
+    multichannel_solution(two_channel, [1.5, 1.0], form="wronskian")
+    assert calls == {"seed_vectors": 1, "transform_denominator": 1}
+
+
 class TestSeedVectors:
     def test_zero_coefficients(self):
         g = RadialGrid(0.0, 2.0, 2001)
