@@ -12,13 +12,23 @@ whose log-determinant derivative generates the transformed potential
 The Wronskian quotient is indeterminate on the diagonal; its limit is the
 prefix integral of h phi_mu^2, so diagonal entries always use the integral
 form (anchored at the endpoint matching the seed class) while off-diagonal
-entries use the Wronskian form.  Since dP/dr has the closed form
-C_mu h phi_mu phi_nu, every derivative below is evaluated analytically via
-Jacobi's formula; no numerical differentiation enters.
+entries use the Wronskian form.
+
+dP/dr = h c phi^T with c = diag(C) phi is rank one at every node, so every
+trace in Jacobi's formula collapses to a dot product, tr(P^{-1} a b^T) =
+b . P^{-1} a.  With u_j = P^{-1} diag(C) phi^(j) (phi'' from the governing
+equation) and s_ij = phi^(i) . u_j, t = (ln det P)' and its derivatives are
+
+    t   = h s00
+    t'  = h' s00 + h (s01 + s10) - t^2
+    t'' = h'' s00 + 2 h' (s01 + s10) + h (s02 + 2 s11 + s20)
+          - 3 t (h' s00 + h (s01 + s10)) + 2 t^3,
+
+all closed-form; no numerical differentiation enters.
 
 Transformed objects:
 
-    y_mu  = sum_nu C_nu phi_nu P^{-1}_{nu mu}              (bound-type, at gamma_mu^2)
+    y_mu  = (P^{-1} c)_mu = u0_mu,  y' = u1 - h s00 u0     (bound-type, at gamma_mu^2)
     phi   = phi0 - sum_mu y_mu K_mu,   K_mu = prefix of h phi_mu phi0,
 
 where K_mu equals W{phi_mu, phi0}/(gamma_mu^2 - gamma^2) by the Wronskian
@@ -28,14 +38,14 @@ integral identity and stays finite as gamma^2 approaches gamma_mu^2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from . import verify
-from .darboux import log_det_potential
+from .darboux import _check_direction, log_det_potential
 from .errors import (
-    DirectionMismatchError,
     DuplicateSpectralError,
     GridMismatchError,
     SeedRejectedError,
@@ -43,13 +53,7 @@ from .errors import (
 )
 from .expr import AnalyticExpr, evaluate_on_grid
 from .grid import Direction, SampledField, signed_prefix
-from .solver import (
-    SEED_RESIDUAL_TOL,
-    CustomBC,
-    JostAtRight,
-    RegularAtLeft,
-    Solution,
-)
+from .solver import SEED_RESIDUAL_TOL, CustomBC, Solution
 
 __all__ = [
     "BargmannSeed",
@@ -114,14 +118,8 @@ class BargmannSeedSet:
                         f"seed spectral parameters {gammas[i]} and {gammas[j]} "
                         f"are closer than {MIN_SPECTRAL_GAP}"
                     )
-        has_regular = any(isinstance(s.phi0.bc, RegularAtLeft) for s in self.seeds)
-        has_jost = any(isinstance(s.phi0.bc, JostAtRight) for s in self.seeds)
-        if has_regular and has_jost:
-            raise DirectionMismatchError("cannot mix regular and Jost-type seeds in one set")
-        if has_regular and self.direction is not Direction.FROM_LEFT:
-            raise DirectionMismatchError("regular seeds pair with the from-left integral")
-        if has_jost and self.direction is not Direction.FROM_RIGHT:
-            raise DirectionMismatchError("Jost-type seeds pair with the from-right integral")
+        for s in self.seeds:
+            _check_direction(s.phi0.bc, self.direction)
         for k, s in enumerate(self.seeds):
             if s.phi0.grid != grid:
                 raise GridMismatchError(f"seed {k} sampled on a different grid")
@@ -133,11 +131,15 @@ class BargmannSeedSet:
     def grid(self):
         return self.v0.grid
 
+    @cached_property
     def _stacked(self):
+        """(phi, phi', C, gamma^2) of every seed, stacked once per set."""
         phi = np.stack([s.phi0.values for s in self.seeds], axis=1)
         dphi = np.stack([s.phi0.derivs for s in self.seeds], axis=1)
         coeff = np.array([s.coeff for s in self.seeds])
         gam = np.array([s.gamma_sq for s in self.seeds])
+        for arr in (phi, dphi, coeff, gam):
+            arr.flags.writeable = False
         return phi, dphi, coeff, gam
 
 
@@ -157,12 +159,20 @@ def make_seed_set(
 
 @dataclass(frozen=True)
 class PMatrix:
-    """Node-wise P matrix, its inverse, determinant and analytic derivative."""
+    """Node-wise P matrix, its inverse and determinant, and the seed images.
+
+    images[:, mu] is the bound-type solution y_mu at gamma_mu^2 and
+    images_deriv its exact derivative.  y = P^{-1} c (c_nu = C_nu phi_nu) is
+    the orientation forced by self-consistency of the transform ansatz at the
+    seed parameters: (I + diag(C) K) y = c with the symmetric
+    Wronskian-quotient kernel K, which is exactly P y = c.
+    """
 
     entries: np.ndarray  # (n, M, M)
     inv: np.ndarray  # (n, M, M)
     det: np.ndarray  # (n,)
-    entries_deriv: np.ndarray  # (n, M, M), equals C_mu h phi_mu phi_nu
+    images: np.ndarray  # (n, M)
+    images_deriv: np.ndarray  # (n, M)
     direction: Direction
 
     @property
@@ -181,26 +191,47 @@ class PMatrix:
         }
 
 
+def _seed_prefix(sset: BargmannSeedSet, g, dg) -> SampledField:
+    """Oriented prefix integrals of h phi_mu g for every seed, one (n, M) stack.
+
+    The products follow the order of ``hf * phi_mu.field * g`` and the stack
+    is summed column by column, so column mu is bit-identical to the
+    per-seed signed_prefix; the derivative channel is the integrand itself.
+    """
+    phi, dphi = sset._stacked[:2]
+    hv = sset.h_field.values[:, None]
+    hphi = hv * phi
+    hphi_d = sset.h_field.derivs[:, None] * phi + hv * dphi
+    f = SampledField(sset.grid, hphi * g, hphi_d * g + hphi * dg)
+    return signed_prefix(f, sset.direction)
+
+
+def _apply(inv: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Node-wise P^{-1} v for an (n, M) stack of vectors."""
+    return np.einsum("nmv,nv->nm", inv, v)
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("nm,nm->n", a, b)
+
+
 def p_matrix(sset: BargmannSeedSet) -> PMatrix:
-    """Assemble P(r) at every node and invert it (LU with partial pivoting).
+    """Assemble P(r) at every node, invert it (LU with partial pivoting) and
+    map the seeds to their images y = P^{-1} c.
 
     det P must be nonzero and of constant sign across the grid; a zero
     crossing raises SingularPotentialError naming the node.
     """
-    phi, dphi, coeff, gam = sset._stacked()
-    n, m = phi.shape
-    hv = sset.h_field.values
+    phi, dphi, coeff, gam = sset._stacked
+    m = phi.shape[1]
 
-    w = np.einsum("ni,nj->nij", phi, dphi) - np.einsum("ni,nj->nij", dphi, phi)
     denom = gam[:, None] - gam[None, :]
     np.fill_diagonal(denom, 1.0)
-    entries = coeff[:, None] * w / denom
-    entries[:, np.arange(m), np.arange(m)] = 0.0
+    entries = np.einsum("ni,nj->nij", phi, dphi) - np.einsum("ni,nj->nij", dphi, phi)
+    entries *= coeff[:, None]
+    entries /= denom
     entries += np.eye(m)
-
-    for k in range(m):
-        f = sset.h_field * sset.seeds[k].phi0.field * sset.seeds[k].phi0.field
-        entries[:, k, k] = 1.0 + coeff[k] * signed_prefix(f, sset.direction).values
+    entries[:, np.arange(m), np.arange(m)] = 1.0 + coeff * _seed_prefix(sset, phi, dphi).values
 
     det = np.linalg.det(entries)
     tiny = np.abs(det) < np.finfo(float).tiny
@@ -209,87 +240,57 @@ def p_matrix(sset: BargmannSeedSet) -> PMatrix:
     if np.any(bad):
         raise SingularPotentialError(int(np.flatnonzero(bad)[0]), what="det P")
 
-    deriv = coeff[None, :, None] * hv[:, None, None] * np.einsum("ni,nj->nij", phi, phi)
-    return PMatrix(entries, np.linalg.inv(entries), det, deriv, sset.direction)
-
-
-def _trace(a: np.ndarray) -> np.ndarray:
-    return np.einsum("nii->n", a)
+    inv = np.linalg.inv(entries)
+    yv = _apply(inv, coeff * phi)
+    yd = _apply(inv, coeff * dphi) - (sset.h_field.values * _dot(phi, yv))[:, None] * yv
+    return PMatrix(entries, inv, det, yv, yd, sset.direction)
 
 
 def bargmann_potential(sset: BargmannSeedSet, pm: PMatrix | None = None) -> SampledField:
     """Transformed potential V = V0 - 2 sqrt(h) d/dr[(1/sqrt(h)) (ln det P)'].
 
-    With t = tr(P^{-1} P') this is V0 + (h'/h) t - 2 t'; t and its derivatives
-    come from Jacobi's formula with the closed-form P', P'', P''', so the
-    result (and its derivative channel) is exact up to rounding.
+    With t = tr(P^{-1} P') this is V0 + (h'/h) t - 2 t'; t, t' and t'' come
+    from Jacobi's formula in the rank-one form of the module docstring, so
+    the result (and its derivative channel) is exact up to rounding.
     """
     if pm is None:
         pm = p_matrix(sset)
-    phi, dphi, coeff, gam = sset._stacked()
+    phi, dphi, coeff, gam = sset._stacked
     hf = sset.h_field
     hv, hd = hf.values, hf.derivs
     hdd = sset.h.derivative().derivative().evaluate(sset.grid.r)
 
     # second derivatives of the base solutions via the governing equation
-    qmu = sset.v0.values[:, None] - gam[None, :] * hv[:, None]
-    ddphi = qmu * phi
+    ddphi = (sset.v0.values[:, None] - gam[None, :] * hv[:, None]) * phi
 
-    pp = np.einsum("ni,nj->nij", phi, phi)
-    pp_d = np.einsum("ni,nj->nij", dphi, phi) + np.einsum("ni,nj->nij", phi, dphi)
-    pp_dd = (
-        np.einsum("ni,nj->nij", ddphi, phi)
-        + 2.0 * np.einsum("ni,nj->nij", dphi, dphi)
-        + np.einsum("ni,nj->nij", phi, ddphi)
+    u0 = pm.images
+    u1 = _apply(pm.inv, coeff * dphi)
+    u2 = _apply(pm.inv, coeff * ddphi)
+    s00 = _dot(phi, u0)
+    s_1 = _dot(phi, u1) + _dot(dphi, u0)
+    t = hv * s00
+    trace_p2 = hd * s00 + hv * s_1  # tr(P^{-1} P'')
+    td = trace_p2 - t * t
+    tdd = (
+        hdd * s00
+        + 2.0 * hd * s_1
+        + hv * (_dot(phi, u2) + 2.0 * _dot(dphi, u1) + _dot(ddphi, u0))
+        - 3.0 * t * trace_p2
+        + 2.0 * t * t * t
     )
-
-    c_row = coeff[None, :, None]
-    p1 = c_row * hv[:, None, None] * pp
-    p2 = c_row * (hd[:, None, None] * pp + hv[:, None, None] * pp_d)
-    p3 = c_row * (
-        hdd[:, None, None] * pp
-        + 2.0 * hd[:, None, None] * pp_d
-        + hv[:, None, None] * pp_dd
-    )
-
-    x = pm.inv @ p1
-    y = pm.inv @ p2
-    z = pm.inv @ p3
-    t = _trace(x)
-    td = _trace(y) - _trace(x @ x)
-    tdd = _trace(z) - 3.0 * _trace(x @ y) + 2.0 * _trace(x @ x @ x)
-
     return log_det_potential(sset.v0, hf, hdd, t, td, tdd)
-
-
-def _seed_images(pm: PMatrix, phi, dphi, coeff):
-    """y = P^{-1} c with c_nu = C_nu phi_nu, plus the analytic derivative.
-
-    This is the orientation forced by self-consistency of the transform
-    ansatz at the seed parameters: (I + diag(C) K) y = c with the symmetric
-    Wronskian-quotient kernel K, which is exactly P y = c.
-    """
-    inv_d = -pm.inv @ pm.entries_deriv @ pm.inv
-    cphi = coeff[None, :] * phi
-    cdphi = coeff[None, :] * dphi
-    yv = np.einsum("nmv,nv->nm", pm.inv, cphi)
-    yd = np.einsum("nmv,nv->nm", pm.inv, cdphi) + np.einsum("nmv,nv->nm", inv_d, cphi)
-    return yv, yd
 
 
 def transformed_seed_solutions(sset: BargmannSeedSet, pm: PMatrix | None = None) -> list[Solution]:
     """Bound-type solutions y_mu of the transformed potential at gamma_mu^2."""
     if pm is None:
         pm = p_matrix(sset)
-    phi, dphi, coeff, gam = sset._stacked()
-    yv, yd = _seed_images(pm, phi, dphi, coeff)
-    out = []
-    for k in range(len(sset.seeds)):
-        fld = SampledField(sset.grid, yv[:, k], yd[:, k])
-        out.append(
-            Solution(gam[k], fld, CustomBC(float(yv[0, k]), float(yd[0, k]), "left"))
-        )
-    return out
+    yv, yd = pm.images, pm.images_deriv
+    return [
+        Solution(s.gamma_sq, SampledField(sset.grid, yv[:, k], yd[:, k]),
+                 CustomBC(float(yv[0, k]), float(yd[0, k]), "left"))
+        for k, s in enumerate(sset.seeds)
+    ]
 
 
 def bargmann_solution(sset: BargmannSeedSet, pm: PMatrix, phi0: Solution) -> Solution:
@@ -302,31 +303,24 @@ def bargmann_solution(sset: BargmannSeedSet, pm: PMatrix, phi0: Solution) -> Sol
     The integral form assumes W{phi_mu, phi0} vanishes at the anchor endpoint,
     which holds when phi0 belongs to the same boundary class as the seeds:
     regular with from-left sets, decaying with from-right sets, or sharing the
-    seeds' (value, slope) anchor data for custom families.
+    seeds' (value, slope) anchor data for custom families.  A regular or
+    decaying phi0 against the other direction raises DirectionMismatchError.
     """
     if phi0.grid != sset.grid:
         raise GridMismatchError("solution lives on a different grid")
-    phi, dphi, coeff, gam = sset._stacked()
-    gaps = np.abs(gam - phi0.gamma_sq)
+    _check_direction(phi0.bc, sset.direction)
+    gaps = np.abs(sset._stacked[3] - phi0.gamma_sq)
     if np.any(gaps < MIN_SPECTRAL_GAP):
         k = int(np.argmin(gaps))
         raise DuplicateSpectralError(
             f"gamma^2 = {phi0.gamma_sq} coincides with seed {k}; "
             "use transformed_seed_solutions for the seed parameters"
         )
-    hf = sset.h_field
-    n, m = phi.shape
+    kmu = _seed_prefix(sset, phi0.values[:, None], phi0.derivs[:, None])
+    yv, yd = pm.images, pm.images_deriv
 
-    kvals = np.empty((n, m))
-    for k in range(m):
-        f = hf * sset.seeds[k].phi0.field * phi0.field
-        kvals[:, k] = signed_prefix(f, sset.direction).values
-    kder = hf.values[:, None] * phi * phi0.values[:, None]
-
-    yv, yd = _seed_images(pm, phi, dphi, coeff)
-
-    out = phi0.values - np.einsum("nm,nm->n", yv, kvals)
-    outd = phi0.derivs - np.einsum("nm,nm->n", yd, kvals) - np.einsum("nm,nm->n", yv, kder)
+    out = phi0.values - _dot(yv, kmu.values)
+    outd = phi0.derivs - _dot(yd, kmu.values) - _dot(yv, kmu.derivs)
     return Solution(
         phi0.gamma_sq,
         SampledField(sset.grid, out, outd),

@@ -213,9 +213,11 @@ def darboux_transform(seed: Solution, h: AnalyticExpr, V0: SampledField) -> Darb
 
 def _check_direction(bc, direction: Direction) -> None:
     if isinstance(bc, RegularAtLeft) and direction is not Direction.FROM_LEFT:
-        raise DirectionMismatchError("regular seeds pair with the from-left integral")
+        raise DirectionMismatchError("regular solutions pair with the from-left integral")
     if isinstance(bc, JostAtRight) and direction is not Direction.FROM_RIGHT:
-        raise DirectionMismatchError("decaying (Jost-type) seeds pair with the from-right integral")
+        raise DirectionMismatchError(
+            "decaying (Jost-type) solutions pair with the from-right integral"
+        )
 
 
 def log_det_potential(V0: SampledField, hf: SampledField, hdd, t, td, tdd) -> SampledField:

@@ -92,7 +92,9 @@ class Num(Node):
         return Num(0.0)
 
     def fmt(self):
-        return repr(self.value) if self.value >= 0 else f"({self.value!r})"
+        # the sign test is on the text, so -0.0 is parenthesized as well
+        s = repr(self.value)
+        return f"({s})" if s.startswith("-") else s
 
 
 class Var(Node):

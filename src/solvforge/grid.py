@@ -65,10 +65,10 @@ class RadialGrid:
 
 def _as_readonly(x, n: int, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.shape != (n,):
-        raise ValueError(f"{what} must have shape ({n},), got {arr.shape}")
+    if arr.ndim not in (1, 2) or arr.shape[0] != n:
+        raise ValueError(f"{what} must have shape ({n},) or ({n}, k), got {arr.shape}")
     if not np.isfinite(arr).all():
-        bad = int(np.flatnonzero(~np.isfinite(arr))[0])
+        bad = int(np.nonzero(~np.isfinite(arr))[0][0])
         raise ValueError(f"{what} contains a non-finite entry at node {bad}")
     arr = arr.copy()
     arr.flags.writeable = False
@@ -80,7 +80,8 @@ class SampledField:
     """Function values and first derivatives on a radial grid.
 
     Arithmetic operators combine both channels (product and quotient rules),
-    so composite fields keep exact derivative information.
+    so composite fields keep exact derivative information.  A column stack of
+    k fields has shape (n, k) and combines only with stacks of that shape.
     """
 
     grid: RadialGrid
@@ -92,13 +93,15 @@ class SampledField:
         object.__setattr__(self, "derivs", _as_readonly(self.derivs, self.grid.n, "derivs"))
 
     def _coerce(self, other) -> "SampledField":
-        if isinstance(other, SampledField):
-            if other.grid != self.grid:
-                raise GridMismatchError("fields live on different grids")
-            return other
         if isinstance(other, Real):
-            return constant_field(self.grid, float(other))
-        return NotImplemented
+            other = constant_field(self.grid, float(other))
+        elif not isinstance(other, SampledField):
+            return NotImplemented
+        elif other.grid != self.grid:
+            raise GridMismatchError("fields live on different grids")
+        if other.values.shape != self.values.shape:
+            raise ValueError(f"field shapes {self.values.shape} and {other.values.shape} differ")
+        return other
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -181,20 +184,19 @@ def wronskian(f: SampledField, g: SampledField) -> SampledField:
 
 
 def _prefix_from_left(values: np.ndarray, derivs: np.ndarray, step: float) -> np.ndarray:
-    """Cumulative integral from the first node, O(step^4).
+    """Cumulative integral from the first node, O(step^4), down axis 0.
 
     Even node offsets use composite Simpson over panel pairs; an odd final
     panel is closed with the derivative-corrected trapezoid
     h (f0 + f1)/2 + h^2 (f0' - f1')/12, which is likewise exact for cubics.
     """
-    n = values.shape[0]
-    out = np.zeros(n)
+    out = np.zeros(values.shape)
     pair = (step / 3.0) * (values[0:-2:2] + 4.0 * values[1:-1:2] + values[2::2])
-    out[2::2] = np.cumsum(pair)
-    panel = (step / 2.0) * (values[:-1] + values[1:]) + (step * step / 12.0) * (
-        derivs[:-1] - derivs[1:]
+    out[2::2] = np.cumsum(pair, axis=0)
+    panel = (step / 2.0) * (values[0:-1:2] + values[1::2]) + (step * step / 12.0) * (
+        derivs[0:-1:2] - derivs[1::2]
     )
-    out[1::2] = out[0:-1:2] + panel[0::2]
+    out[1::2] = out[0:-1:2] + panel
     return out
 
 

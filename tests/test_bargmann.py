@@ -1,8 +1,11 @@
 """M-fold Bargmann transformation: P matrix, potential, solution maps."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from bargmann_dense_reference import dense_potential, dense_seed_images
 from conftest import const, fd4, field_of, unit_problem
 from solvforge import (
     JOST_AT_RIGHT,
@@ -25,6 +28,7 @@ from solvforge import (
     p_matrix,
     parse,
     residual,
+    signed_prefix,
     solve,
     transformed_seed_solutions,
 )
@@ -79,8 +83,6 @@ class TestPMatrix:
     def test_offdiagonal_entries_vs_quadrature_oracle(self):
         # rebuild the off-diagonal entries from the prefix-integral form and
         # compare with the Wronskian form used by p_matrix
-        from solvforge import signed_prefix
-
         g = RadialGrid(0.0, 6.0, 6001)
         sset = _free_regular_set(g, [0.8, 2.1], [0.45, 0.75], h_text="1 + 0.4*exp(-r)")
         pm = p_matrix(sset)
@@ -138,6 +140,26 @@ class TestPMatrix:
         with pytest.raises(SingularPotentialError):
             p_matrix(_free_regular_set(g, [-1.0], [-10.0]))
 
+    def test_three_bound_states_bits_pinned(self):
+        # configs/three_bound_states.json: the P matrix, its inverse and its
+        # determinant keep the exact bits of the per-seed prefix assembly
+        g = RadialGrid(0.0, 10.0, 10001)
+        v0, h1 = unit_problem(g)
+        seeds = [
+            BargmannSeed(gsq, c, solve(v0, h1, gsq, JOST_AT_RIGHT))
+            for gsq, c in [(-1.0, 0.6), (-2.25, 0.8), (-4.0, 0.5)]
+        ]
+        pm = p_matrix(make_seed_set(seeds, v0, parse("1"), Direction.FROM_RIGHT))
+        digests = {
+            name: hashlib.sha256(np.ascontiguousarray(getattr(pm, name)).tobytes()).hexdigest()
+            for name in ("entries", "inv", "det")
+        }
+        assert digests == {
+            "entries": "285b8bfcdbb227d8d69bdb6165b3fc8cc0f9ebc68b627504daa2e15f0f36cd74",
+            "inv": "e1c1a7f94087f2cfd8b770af44eba047d3f793aab858cbae71b3707d33cf4f01",
+            "det": "2e9b1e5899ba30464eea281126601c0308b715e2b96afdf40e6189afeeb2c770",
+        }
+
 
 class TestPotential:
     def test_uncoupled_returns_base(self, grid01):
@@ -184,6 +206,46 @@ class TestPotential:
             v_sum = v_sum - 2.0 * hv * prod_d - hd * prod
         scale = np.max(np.abs(v_trace.values)) + 1.0
         assert np.max(np.abs(v_trace.values - v_sum)) < 1e-9 * scale
+
+
+def _sup_rel(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+def _weighted_set(m, frame):
+    """M seeds on a non-constant weight h = 1 + exp(-r), V0 = -exp(-r); each
+    C_mu is 0.5 / (M max|K_mu|), which keeps P well conditioned."""
+    if frame == "regular":
+        g, bc, direction = RadialGrid(0.0, 3.0, 3001), REGULAR_AT_LEFT, Direction.FROM_LEFT
+    else:
+        g, bc, direction = RadialGrid(0.0, 10.0, 5001), JOST_AT_RIGHT, Direction.FROM_RIGHT
+    he = parse("1 + exp(-r)")
+    h = field_of("1 + exp(-r)", g)
+    v0 = field_of("-exp(-r)", g)
+    seeds = []
+    for k in range(m):
+        gsq = -((1.0 + 0.25 * k) ** 2)
+        phi = solve(v0, h, gsq, bc)
+        kmax = np.max(np.abs(signed_prefix(h * phi.field * phi.field, direction).values))
+        seeds.append(BargmannSeed(gsq, 0.5 / (m * kmax), phi))
+    return make_seed_set(seeds, v0, he, direction)
+
+
+class TestRankOneJacobi:
+    """The dot-product form against the dense (n, M, M) trace products."""
+
+    @pytest.mark.parametrize("frame", ["regular", "jost"])
+    @pytest.mark.parametrize("m", [1, 3, 8])
+    def test_matches_dense_reference(self, m, frame):
+        sset = _weighted_set(m, frame)
+        pm = p_matrix(sset)
+        v = bargmann_potential(sset, pm)
+        ref = dense_potential(sset, pm)
+        assert _sup_rel(v.values, ref.values) < 1e-13
+        assert _sup_rel(v.derivs, ref.derivs) < 1e-13
+        yv, yd = dense_seed_images(sset, pm)
+        assert _sup_rel(pm.images, yv) < 1e-13
+        assert _sup_rel(pm.images_deriv, yd) < 1e-13
 
 
 class TestSolutions:
@@ -258,6 +320,23 @@ class TestSolutions:
         phi0 = solve(const(grid01, 0.0), field_of("1", grid01), -1.0, CustomBC(1.0, 0.0, "left"))
         with pytest.raises(DuplicateSpectralError):
             bargmann_solution(sset, pm, phi0)
+
+    def test_base_solution_of_the_other_frame_rejected(self):
+        # mapped anyway, a regular phi0 against this Jost set misses the
+        # transformed equation (residual max_rel 2.4e-4, against 1.2e-7 for
+        # the Jost phi0 at the same gamma^2); the same holds the other way round
+        g = RadialGrid(0.0, 10.0, 10001)
+        v0, h1 = unit_problem(g)
+        jost = make_seed_set(
+            [BargmannSeed(gsq, c, solve(v0, h1, gsq, JOST_AT_RIGHT))
+             for gsq, c in [(-1.0, 0.6), (-2.25, 0.9)]],
+            v0, parse("1"), Direction.FROM_RIGHT,
+        )
+        with pytest.raises(DirectionMismatchError):
+            bargmann_solution(jost, p_matrix(jost), solve(v0, h1, -0.5, REGULAR_AT_LEFT))
+        regular = _free_regular_set(g, [-1.0, -2.25], [0.6, 0.9])
+        with pytest.raises(DirectionMismatchError):
+            bargmann_solution(regular, p_matrix(regular), solve(v0, h1, -0.5, JOST_AT_RIGHT))
 
 
 class TestCustomSeedFamily:

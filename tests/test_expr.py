@@ -213,6 +213,13 @@ def _combine(children):
 random_exprs = st.recursive(_leaf_exprs(), _combine, max_leaves=6)
 
 
+def test_negative_zero_power_base_roundtrip():
+    # "-0.0^0.0" would parse as -(0^0) = -1; the base needs parentheses
+    e = parse("-0.0") ** 0.0
+    assert str(e) == "(-0.0)^0.0"
+    assert parse(str(e)).evaluate(1.0) == e.evaluate(1.0) == 1.0
+
+
 @given(random_exprs)
 @settings(max_examples=60, deadline=None)
 def test_print_parse_roundtrip(e: AnalyticExpr):

@@ -170,6 +170,28 @@ class TestPrefixIntegral:
         order = np.log2(errs[0] / errs[1])
         assert order >= 3.5
 
+    @pytest.mark.parametrize("direction", [Direction.FROM_LEFT, Direction.FROM_RIGHT])
+    @pytest.mark.parametrize("n", [1001, 1000])  # n - 1 even, then odd (closing panel)
+    def test_column_stack_matches_each_column(self, n, direction):
+        g = RadialGrid(0.0, 3.0, n)
+        cols = [field_of(t, g) for t in ("exp(-r)*cos(4*r)", "r^3 - 2*r", "sinh(r)^2")]
+        stack = SampledField(
+            g, np.stack([c.values for c in cols], axis=1), np.stack([c.derivs for c in cols], axis=1)
+        )
+        out = signed_prefix(stack, direction)
+        for j, c in enumerate(cols):
+            one = signed_prefix(c, direction)
+            assert np.array_equal(out.values[:, j], one.values)
+            assert np.array_equal(out.derivs[:, j], one.derivs)
+
+    def test_column_stack_shape_mismatch_rejected(self, grid01):
+        stack = SampledField(grid01, np.ones((grid01.n, 2)), np.zeros((grid01.n, 2)))
+        with pytest.raises(ValueError, match="shapes"):
+            stack * const(grid01, 2.0)
+        with pytest.raises(ValueError, match="shapes"):
+            stack + 1.0
+        assert np.array_equal((stack * stack).values, stack.values)
+
     def test_signed_prefix_orientation(self, grid01):
         f = field_of("1", grid01)
         sp = signed_prefix(f, Direction.FROM_RIGHT)
