@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -155,10 +154,28 @@ def _load_config(path: str) -> tuple[dict, str]:
 
 
 def _number(val, what: str) -> float:
-    """A JSON number (not a bool) as a float."""
-    if isinstance(val, (int, float)) and not isinstance(val, bool):
+    """A finite JSON number (not a bool) as a float."""
+    if isinstance(val, (int, float)) and not isinstance(val, bool) and abs(val) <= sys.float_info.max:
         return float(val)
-    raise ConfigError(f"{what} must be a number")
+    raise ConfigError(f"{what} must be a finite number")
+
+
+def _tolerance(source: dict, key: str, what: str) -> float:
+    """The residual tolerance source[key]; when the key is absent, the
+    FORGE_RESIDUAL_TOL environment variable or the default.  Either way it
+    must be a finite number > 0."""
+    if key in source:
+        value = source[key]
+    else:
+        what = verify_mod.TOL_ENV_VAR
+        try:
+            value = verify_mod.default_tolerance()
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+    tol = _number(value, what)
+    if tol <= 0.0:
+        raise ConfigError(f"{what} must be a finite number > 0, got {tol!r}")
+    return tol
 
 
 def _cfg_get(cfg: dict, key: str, kind, where: str = "config"):
@@ -206,9 +223,11 @@ def _bc_from_spec(spec, where: str):
     if spec == "jost_at_right":
         return JOST_AT_RIGHT
     if isinstance(spec, dict):
+        value = _cfg_get(spec, "value", float, f"{where}.bc")
+        slope = _cfg_get(spec, "slope", float, f"{where}.bc")
         try:
-            return CustomBC(float(spec["value"]), float(spec["slope"]), spec.get("at", "left"))
-        except (KeyError, ValueError, TypeError) as exc:
+            return CustomBC(value, slope, spec.get("at", "left"))
+        except ValueError as exc:
             raise ConfigError(f"{where}: bad custom boundary condition: {exc}") from exc
     raise ConfigError(f"{where}: unknown boundary condition {spec!r}")
 
@@ -338,35 +357,26 @@ def _single_channel(cfg, grid, direction, tol) -> _Job:
 def _multichannel(cfg, grid, direction, tol) -> _Job:
     base = _cfg_get(cfg, "base", dict)
     v0_list = _cfg_get(base, "V0", list, "base")
-    h_text = _cfg_get(base, "h", str, "base")
+    h_expr = _parse_expr(_cfg_get(base, "h", str, "base"), "base.h")
     mc = _cfg_get(cfg, "seeds", dict)
     gamma_prime = _cfg_get(mc, "gamma_prime_sq", list, "seeds")
     coeffs = _cfg_get(mc, "c", list, "seeds")
     if not (len(v0_list) == len(gamma_prime) == len(coeffs)):
         raise ConfigError("base.V0, seeds.gamma_prime_sq and seeds.c must have equal lengths")
+    v0_exprs = [_parse_expr(e, f"base.V0[{k}]") for k, e in enumerate(v0_list)]
+    gamma_prime = [_number(x, f"seeds.gamma_prime_sq[{k}]") for k, x in enumerate(gamma_prime)]
+    coeffs = [_number(x, f"seeds.c[{k}]") for k, x in enumerate(coeffs)]
     try:
-        cs = diagonal_base_system(
-            [str(e) for e in v0_list],
-            h_text,
-            grid,
-            [float(x) for x in gamma_prime],
-            [float(x) for x in coeffs],
-            direction,
-        )
-    except (ExprSyntaxError, DomainError, ValueError) as exc:
+        cs = diagonal_base_system(v0_exprs, h_expr, grid, gamma_prime, coeffs, direction)
+    except (DomainError, ValueError) as exc:
         raise ConfigError(f"multichannel base: {exc}") from exc
 
     vmat = multichannel_potential(cs)
     n_ch = cs.n_channels
-    pairs = [(a, b) for a in range(n_ch) for b in range(n_ch)]
-    labels = [f"{a + 1}{b + 1}" for a, b in pairs]
-
-    psi = transformed_seed_vectors(cs)
-    psimat = tuple(
-        (Solution(cs.gamma_prime_sq[a], psi[a], CustomBC(0.0, 0.0, "left")),)
-        for a in range(n_ch)
+    labels = [f"{a + 1}{b + 1}" for a, b in np.ndindex(n_ch, n_ch)]
+    seed_rep = verify_mod.matrix_residual(
+        vmat, cs.h_field, transformed_seed_vectors(cs), cs.gamma_prime_sq, tol=tol
     )
-    seed_rep = verify_mod.matrix_residual(vmat, cs.h_field, psimat, cs.gamma_prime_sq, tol=tol)
 
     def evaluate(gnew):
         if len(gnew) != n_ch:
@@ -374,18 +384,19 @@ def _multichannel(cfg, grid, direction, tol) -> _Job:
         phi = multichannel_solution(cs, gnew)
         gap = 0.0
         if abs(gnew[0] - cs.gamma_prime_sq[0]) >= 1e-8:
-            phi_w = multichannel_solution(cs, gnew, form="wronskian")
-            gap = max(_sup(phi[a][b].values - phi_w[a][b].values) for a, b in pairs)
+            gap = _sup(phi.values - multichannel_solution(cs, gnew, form="wronskian").values)
         rep = verify_mod.matrix_residual(vmat, cs.h_field, phi, gnew, tol=tol)
-        columns = [grid.r] + [c for a, b in pairs for c in (phi[a][b].values, phi[a][b].derivs)]
-        return rep, columns, {"forms_max_diff": gap}
+        # row-major entries, each as a (phi, dphi) column pair
+        pairs = np.stack([phi.values, phi.derivs], axis=-1).reshape(grid.n, -1)
+        return rep, [grid.r, *pairs.T], {"forms_max_diff": gap}
 
+    v = vmat.values
     return _Job(
-        (["r"] + [f"V_{ab}" for ab in labels], [grid.r] + [vmat[a][b].values for a, b in pairs]),
+        (["r"] + [f"V_{ab}" for ab in labels], [grid.r, *v.reshape(grid.n, -1).T]),
         ["r"] + [f"{name}_{ab}" for ab in labels for name in ("phi", "dphi")],
         [({"kind": "transformed_seed_vectors"}, seed_rep, None)],
         evaluate,
-        {"symmetry_defect": max(_sup(vmat[a][b].values - vmat[b][a].values) for a, b in pairs)},
+        {"symmetry_defect": _sup(v - v.transpose(0, 2, 1))},
     )
 
 
@@ -396,15 +407,16 @@ def cmd_run(args) -> int:
         raise ConfigError(f"unknown mode {mode!r}")
     grid = _grid_from_config(cfg)
     direction = _direction_from_config(cfg)
-    tol = _number(cfg.get("tolerance", verify_mod.default_tolerance()), "tolerance")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ConfigError(f"tolerance must be a finite number > 0, got {tol!r}")
+    tol = _tolerance(cfg, "tolerance", "tolerance")
     gammas = _eval_gammas(cfg, mode == "multichannel")
 
     out_cfg = cfg.get("output", {})
     if not isinstance(out_cfg, dict):
         raise ConfigError("output must be an object")
-    out_dir = args.out_dir or out_cfg.get("dir", ".")
+    out_dir = out_cfg.get("dir", ".")
+    if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir:
+        raise ConfigError(f"output.dir must be a non-empty path string, got {out_dir!r}")
+    out_dir = args.out_dir or out_dir
     prefix = out_cfg.get("prefix", "job")
     if not isinstance(prefix, str) or prefix in (".", "..") or {"/", os.sep, "\0"} & set(prefix):
         raise ConfigError(f"output.prefix must be a plain file-name prefix, got {prefix!r}")
@@ -426,7 +438,10 @@ def cmd_run(args) -> int:
             extras[key] = max(extras.get(key, 0.0), gap)
 
     all_passed = all(r["passed"] for r in residuals)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}") from exc
     paths = {}
     for name, text in artifacts.items():
         path = os.path.join(out_dir, f"{prefix}_{name}.csv")
@@ -451,6 +466,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    tol = _tolerance(vars(args), "tol", "--tol")
+    gamma_sq = _number(args.gamma_sq, "--gamma-sq")
     pot = _read_csv(args.potential, ["r", "V"])
     sol = _read_csv(args.solution, ["r", "phi", "dphi"])
     if pot["r"].shape != sol["r"].shape:
@@ -471,13 +488,12 @@ def cmd_verify(args) -> int:
     hf = evaluate_on_grid(h_expr, grid)
     vf = SampledField(grid, pot["V"], np.gradient(pot["V"], grid.step))
     phi = Solution(
-        float(args.gamma_sq),
+        gamma_sq,
         SampledField(grid, sol["phi"], sol["dphi"]),
         CustomBC(float(sol["phi"][0]), float(sol["dphi"][0]), "left"),
     )
-    tol = args.tol if args.tol is not None else verify_mod.default_tolerance()
     rep = verify_mod.residual(vf, hf, phi, tol=tol)
-    print(json.dumps({"gamma_sq": float(args.gamma_sq), **rep.to_dict()}, indent=2, sort_keys=True))
+    print(json.dumps({"gamma_sq": gamma_sq, **rep.to_dict()}, indent=2, sort_keys=True))
     return EXIT_OK if rep.passed else EXIT_RESIDUAL
 
 
@@ -505,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("solution", help="solution CSV (header r,phi,dphi)")
     p_ver.add_argument("--h", required=True, help="weight function expression")
     p_ver.add_argument("--gamma-sq", type=float, required=True, dest="gamma_sq")
-    p_ver.add_argument("--tol", type=float, default=None)
+    p_ver.add_argument("--tol", type=float, default=argparse.SUPPRESS)
     p_ver.set_defaults(func=cmd_verify)
 
     p_pc = sub.add_parser("parse-check", help="parse an expression and print its derivative")

@@ -65,8 +65,8 @@ class RadialGrid:
 
 def _as_readonly(x, n: int, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.ndim not in (1, 2) or arr.shape[0] != n:
-        raise ValueError(f"{what} must have shape ({n},) or ({n}, k), got {arr.shape}")
+    if arr.ndim < 1 or arr.shape[0] != n:
+        raise ValueError(f"{what} must have shape ({n}, ...), got {arr.shape}")
     if not np.isfinite(arr).all():
         bad = int(np.nonzero(~np.isfinite(arr))[0][0])
         raise ValueError(f"{what} contains a non-finite entry at node {bad}")
@@ -80,8 +80,9 @@ class SampledField:
     """Function values and first derivatives on a radial grid.
 
     Arithmetic operators combine both channels (product and quotient rules),
-    so composite fields keep exact derivative information.  A column stack of
-    k fields has shape (n, k) and combines only with stacks of that shape.
+    so composite fields keep exact derivative information.  A stack of fields
+    is node-first, (n, k) for k columns or (n, N, N) for a matrix field, and
+    combines only with stacks of the same shape.
     """
 
     grid: RadialGrid

@@ -22,6 +22,11 @@ evaluation spectra are a rigid shift of the seed spectra (gamma_a^2 =
 gamma'_a^2 + Delta for one common Delta), which multichannel_solution
 enforces.  At N = 1 everything reduces to the single-channel transform with
 C = c^2.
+
+Fields are node-first stacks, as in the Bargmann transform: matrix fields
+(V0, V, phi) are SampledFields of shape (n, N, N) with entry (a, b) at
+[:, a, b], and the seed vectors psi0, psi are (n, N).  Sums over channels
+run one channel at a time from zero, in the order of a running sum.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ from .errors import (
     SingularPotentialError,
 )
 from .expr import AnalyticExpr, evaluate_on_grid, parse
-from .grid import Direction, RadialGrid, SampledField, constant_field, signed_prefix
-from .solver import SEED_RESIDUAL_TOL, CustomBC, Solution, bc_for, solve
+from .grid import Direction, RadialGrid, SampledField, signed_prefix
+from .solver import SEED_RESIDUAL_TOL, bc_for, solve
 
 __all__ = [
     "ChannelSystem",
@@ -55,20 +60,18 @@ __all__ = [
     "multichannel_solution",
 ]
 
-FieldMatrix = tuple[tuple[SampledField, ...], ...]
-SolutionMatrix = tuple[tuple[Solution, ...], ...]
-
 
 @dataclass(frozen=True)
 class ChannelSystem:
     """N-channel data: base potential matrix, weight, base solutions at the
-    seed spectra, and the spectral coefficients c."""
+    seed spectra, and the spectral coefficients c.  v0 and phi0 are
+    (n, N, N) stacks."""
 
     grid: RadialGrid
     h: AnalyticExpr
     h_field: SampledField
-    v0: FieldMatrix
-    phi0: SolutionMatrix
+    v0: SampledField
+    phi0: SampledField
     gamma_prime_sq: tuple[float, ...]
     c: tuple[float, ...]
     direction: Direction = Direction.FROM_LEFT
@@ -80,16 +83,13 @@ class ChannelSystem:
             raise ValueError("need at least one channel")
         if len(self.c) != n:
             raise ValueError("need one coefficient per channel")
-        if len(self.v0) != n or any(len(row) != n for row in self.v0):
-            raise ValueError("base potential must be an N x N matrix of fields")
-        if len(self.phi0) != n or any(len(row) != n for row in self.phi0):
-            raise ValueError("base solutions must form an N x N matrix")
-        for row in self.v0:
-            for entry in row:
-                if entry.grid != self.grid:
-                    raise GridMismatchError("potential entry on a different grid")
-        v = self._v0_values()
-        defect = float(np.max(np.abs(v - v.transpose(1, 0, 2))))
+        for what, f in (("base potential", self.v0), ("base solutions", self.phi0)):
+            if f.grid != self.grid:
+                raise GridMismatchError(f"{what} on a different grid")
+            if f.values.shape != (self.grid.n, n, n):
+                raise ValueError(f"{what} must be an (n, N, N) stack, got {f.values.shape}")
+        v = self.v0.values
+        defect = float(np.max(np.abs(v - v.transpose(0, 2, 1))))
         scale = float(np.max(np.abs(v))) + 1.0
         if defect > 1e-12 * scale:
             raise ValueError(f"base potential matrix is not symmetric (defect {defect:.3e})")
@@ -100,9 +100,9 @@ class ChannelSystem:
             raise SeedRejectedError(report, text="base solution matrix")
 
     @cached_property
-    def psi0(self) -> tuple[SampledField, ...]:
+    def psi0(self) -> SampledField:
         """The seed vectors (see seed_vectors), computed once per system."""
-        return tuple(seed_vectors(self))
+        return seed_vectors(self)
 
     @cached_property
     def denominator(self) -> SampledField:
@@ -113,41 +113,43 @@ class ChannelSystem:
     def n_channels(self) -> int:
         return len(self.gamma_prime_sq)
 
-    def _v0_values(self) -> np.ndarray:
-        return np.array([[e.values for e in row] for row in self.v0])
-
     def is_diagonal_base(self) -> bool:
-        n = self.n_channels
-        return all(
-            not np.any(self.v0[i][j].values)
-            for i in range(n)
-            for j in range(n)
-            if i != j
-        )
+        off_diagonal = ~np.eye(self.n_channels, dtype=bool)
+        return not np.any(self.v0.values[:, off_diagonal])
 
 
-def _zero_solution(grid: RadialGrid, gamma_sq: float) -> Solution:
-    z = constant_field(grid, 0.0)
-    return Solution(float(gamma_sq), z, CustomBC(0.0, 0.0, "left"))
+def _channel_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum over the last (channel) axis, one channel at a time from zero.
+
+    numpy's reductions pair the terms in another order; a running sum keeps
+    the bits independent of the array layout."""
+    return sum(np.moveaxis(terms, -1, 0), np.zeros(terms.shape[:-1]))
+
+
+def _diagonal_stack(grid: RadialGrid, fields) -> SampledField:
+    """(n, N, N) stack with the N given fields on its diagonal, zero elsewhere."""
+    n = len(fields)
+    vals, ders = np.zeros((grid.n, n, n)), np.zeros((grid.n, n, n))
+    diag = np.arange(n)
+    vals[:, diag, diag] = np.transpose([f.values for f in fields])
+    ders[:, diag, diag] = np.transpose([f.derivs for f in fields])
+    return SampledField(grid, vals, ders)
 
 
 def _diagonal_matrix_solutions(
-    cs_like_v0: FieldMatrix,
+    v0: SampledField,
     h_field: SampledField,
     gamma_sq: Sequence[float],
     direction: Direction,
-) -> SolutionMatrix:
+) -> SampledField:
     """Base solution matrix for a diagonal potential: channels decouple, so
     entry (a, b) is delta_ab times the scalar solution of channel a."""
-    n = len(gamma_sq)
-    grid = h_field.grid
-    rows = []
-    for a in range(n):
-        u = solve(cs_like_v0[a][a], h_field, float(gamma_sq[a]), bc_for(direction))
-        rows.append(
-            tuple(u if b == a else _zero_solution(grid, float(gamma_sq[a])) for b in range(n))
-        )
-    return tuple(rows)
+    grid = v0.grid
+    return _diagonal_stack(grid, [
+        solve(SampledField(grid, v0.values[:, a, a], v0.derivs[:, a, a]), h_field, float(g),
+              bc_for(direction))
+        for a, g in enumerate(gamma_sq)
+    ])
 
 
 def diagonal_base_system(
@@ -166,13 +168,9 @@ def diagonal_base_system(
         raise ValueError("v0_diagonal, gamma_prime_sq and c must have equal lengths")
     h_expr = parse(h) if isinstance(h, str) else h
     h_field = evaluate_on_grid(h_expr, grid)
-    zero = constant_field(grid, 0.0)
-    diag = [
+    v0 = _diagonal_stack(grid, [
         evaluate_on_grid(parse(e) if isinstance(e, str) else e, grid) for e in v0_diagonal
-    ]
-    v0 = tuple(
-        tuple(diag[i] if i == j else zero for j in range(n)) for i in range(n)
-    )
+    ])
     phi0 = _diagonal_matrix_solutions(v0, h_field, gamma_prime_sq, direction)
     return ChannelSystem(
         grid,
@@ -187,16 +185,13 @@ def diagonal_base_system(
     )
 
 
-def seed_vectors(cs: ChannelSystem) -> list[SampledField]:
-    """psi0_a = sum_b phi0_ab c_b, with exact derivative channels."""
-    out = []
-    for a in range(cs.n_channels):
-        acc = constant_field(cs.grid, 0.0)
-        for b in range(cs.n_channels):
-            if cs.c[b] != 0.0:
-                acc = acc + cs.c[b] * cs.phi0[a][b].field
-        out.append(acc)
-    return out
+def seed_vectors(cs: ChannelSystem) -> SampledField:
+    """psi0_a = sum_b phi0_ab c_b as an (n, N) stack, with exact derivative
+    channels."""
+    c = np.asarray(cs.c)
+    return SampledField(
+        cs.grid, _channel_sum(cs.phi0.values * c), _channel_sum(cs.phi0.derivs * c)
+    )
 
 
 def transform_denominator(cs: ChannelSystem) -> SampledField:
@@ -204,10 +199,11 @@ def transform_denominator(cs: ChannelSystem) -> SampledField:
 
     Monotone nondecreasing from the anchor for the from-left direction; a
     non-positive value (possible only from-right) raises."""
-    gsum = constant_field(cs.grid, 0.0)
-    for p in cs.psi0:
-        gsum = gsum + p * p
-    d = 1.0 + signed_prefix(cs.h_field * gsum, cs.direction)
+    p, pd = cs.psi0.values, cs.psi0.derivs
+    g = _channel_sum(p * p)
+    gd = _channel_sum(pd * p + p * pd)
+    hv, hd = cs.h_field.values, cs.h_field.derivs
+    d = 1.0 + signed_prefix(SampledField(cs.grid, hv * g, hd * g + hv * gd), cs.direction)
     if np.any(d.values <= 0.0):
         raise SingularPotentialError(
             int(np.flatnonzero(d.values <= 0.0)[0]), what="transform denominator D"
@@ -215,27 +211,26 @@ def transform_denominator(cs: ChannelSystem) -> SampledField:
     return d
 
 
-def transformed_seed_vectors(cs: ChannelSystem) -> list[SampledField]:
-    """psi_a = psi0_a / D."""
-    d = cs.denominator
-    return [p / d for p in cs.psi0]
+def transformed_seed_vectors(cs: ChannelSystem) -> SampledField:
+    """psi_a = psi0_a / D, an (n, N) stack."""
+    p = cs.psi0
+    d, dd = cs.denominator.values[:, None], cs.denominator.derivs[:, None]
+    return SampledField(cs.grid, p.values / d, (p.derivs * d - p.values * dd) / (d * d))
 
 
 def _psi_arrays(cs: ChannelSystem):
-    """Values and first/second derivatives of psi0 and psi = psi0 / D."""
-    psi0 = cs.psi0
+    """Values and first/second derivatives of psi0 and psi = psi0 / D, (n, N)."""
     hv, hd = cs.h_field.values, cs.h_field.derivs
-    p0 = np.stack([p.values for p in psi0])  # (N, n)
-    p0d = np.stack([p.derivs for p in psi0])
-    v0 = cs._v0_values()
+    p0, p0d = cs.psi0.values, cs.psi0.derivs
     gp = np.asarray(cs.gamma_prime_sq)
-    p0dd = np.einsum("abn,bn->an", v0, p0) - gp[:, None] * hv[None, :] * p0
+    p0dd = _channel_sum(cs.v0.values * p0[:, None, :]) - gp * hv[:, None] * p0
 
-    g = (p0 * p0).sum(axis=0)
-    gd = 2.0 * (p0 * p0d).sum(axis=0)
+    g = _channel_sum(p0 * p0)
+    gd = 2.0 * _channel_sum(p0 * p0d)
     dfield = cs.denominator
     d, dd = dfield.values, dfield.derivs  # dd = h g exactly
     ddd = hd * g + hv * gd
+    d, dd, ddd = d[:, None], dd[:, None], ddd[:, None]
 
     p = p0 / d
     pd = p0d / d - p0 * dd / (d * d)
@@ -248,29 +243,28 @@ def _psi_arrays(cs: ChannelSystem):
     return p0, p0d, p0dd, p, pd, pdd
 
 
-def multichannel_potential(cs: ChannelSystem) -> FieldMatrix:
-    """Entry-wise transformed potential matrix (exactly symmetric).
+def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node-wise outer product of two (n, N) stacks: entry (a, b) is x_a y_b."""
+    return x[:, :, None] * y[:, None, :]
+
+
+def multichannel_potential(cs: ChannelSystem) -> SampledField:
+    """Entry-wise transformed potential matrix (exactly symmetric), (n, N, N).
 
     V_ab = V0_ab - 2 h (psi_a psi0_b)' - h' psi_a psi0_b, with the product
     derivatives taken from the carried channels and the second derivatives
     supplied by the governing equations, so the derivative channel is exact.
     """
     p0, p0d, p0dd, p, pd, pdd = _psi_arrays(cs)
-    hv, hd = cs.h_field.values, cs.h_field.derivs
-    hdd = cs.h.derivative().derivative().evaluate(cs.grid.r)
-    n = cs.n_channels
-    rows = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            g = p[a] * p0[b]
-            gd = pd[a] * p0[b] + p[a] * p0d[b]
-            gdd = pdd[a] * p0[b] + 2.0 * pd[a] * p0d[b] + p[a] * p0dd[b]
-            v = cs.v0[a][b].values - 2.0 * hv * gd - hd * g
-            vd = cs.v0[a][b].derivs - 3.0 * hd * gd - 2.0 * hv * gdd - hdd * g
-            row.append(SampledField(cs.grid, v, vd))
-        rows.append(tuple(row))
-    return tuple(rows)
+    hv = cs.h_field.values[:, None, None]
+    hd = cs.h_field.derivs[:, None, None]
+    hdd = cs.h.derivative().derivative().evaluate(cs.grid.r)[:, None, None]
+    g = _outer(p, p0)
+    gd = _outer(pd, p0) + _outer(p, p0d)
+    gdd = _outer(pdd, p0) + _outer(2.0 * pd, p0d) + _outer(p, p0dd)
+    v = cs.v0.values - 2.0 * hv * gd - hd * g
+    vd = cs.v0.derivs - 3.0 * hd * gd - 2.0 * hv * gdd - hdd * g
+    return SampledField(cs.grid, v, vd)
 
 
 def _check_uniform_shift(cs: ChannelSystem, gamma_sq_new: Sequence[float]) -> float:
@@ -291,10 +285,10 @@ def multichannel_solution(
     cs: ChannelSystem,
     gamma_sq_new: Sequence[float],
     *,
-    phi0_new: SolutionMatrix | None = None,
+    phi0_new: SampledField | None = None,
     form: str = "integral",
-) -> SolutionMatrix:
-    """Transformed solution matrix at a rigidly shifted spectrum.
+) -> SampledField:
+    """Transformed solution matrix at a rigidly shifted spectrum, (n, N, N).
 
     phi_ab = phi0_ab(new) - psi_a T_b, where T_b sums the transform kernel
     over channels; `form` selects the prefix-integral kernel (default, valid
@@ -316,44 +310,23 @@ def multichannel_solution(
             )
         phi0_new = _diagonal_matrix_solutions(cs.v0, cs.h_field, gamma_sq_new, cs.direction)
 
-    n = cs.n_channels
     psi0 = cs.psi0
     psi = transformed_seed_vectors(cs)
+    # entry [:, b, j] of the transposed stacks is phi0_jb: sums run over j
+    fv = phi0_new.values.transpose(0, 2, 1)
+    fd = phi0_new.derivs.transpose(0, 2, 1)
+    hv, hd = cs.h_field.values[:, None], cs.h_field.derivs[:, None]
+    hp = hv * psi0.values
+    hpd = hd * psi0.values + hv * psi0.derivs
+    # T_b' = sum_j h psi0_j phi0_jb, the integrand of the prefix form
+    tders = _channel_sum(hp[:, None, :] * fv)
+    if form == "integral":
+        integrand_d = _channel_sum(hpd[:, None, :] * fv + hp[:, None, :] * fd)
+        tvals = signed_prefix(SampledField(cs.grid, tders, integrand_d), cs.direction).values
+    else:
+        p, pd = psi0.values[:, None, :], psi0.derivs[:, None, :]
+        tvals = _channel_sum(p * fd - pd * fv) / (-delta)
 
-    solutions = []
-    tvals = np.empty((n, cs.grid.n))
-    tders = np.empty((n, cs.grid.n))
-    for b in range(n):
-        integrand = constant_field(cs.grid, 0.0)
-        for j in range(n):
-            integrand = integrand + cs.h_field * psi0[j] * phi0_new[j][b].field
-        if form == "integral":
-            tvals[b] = signed_prefix(integrand, cs.direction).values
-        else:
-            w = np.zeros(cs.grid.n)
-            for j in range(n):
-                w += (
-                    psi0[j].values * phi0_new[j][b].derivs
-                    - psi0[j].derivs * phi0_new[j][b].values
-                )
-            tvals[b] = w / (-delta)
-        tders[b] = integrand.values
-
-    for a in range(n):
-        row = []
-        for b in range(n):
-            out = phi0_new[a][b].values - psi[a].values * tvals[b]
-            outd = (
-                phi0_new[a][b].derivs
-                - psi[a].derivs * tvals[b]
-                - psi[a].values * tders[b]
-            )
-            row.append(
-                Solution(
-                    float(gamma_sq_new[a]),
-                    SampledField(cs.grid, out, outd),
-                    CustomBC(float(out[0]), float(outd[0]), "left"),
-                )
-            )
-        solutions.append(tuple(row))
-    return tuple(solutions)
+    out = phi0_new.values - _outer(psi.values, tvals)
+    outd = phi0_new.derivs - _outer(psi.derivs, tvals) - _outer(psi.values, tders)
+    return SampledField(cs.grid, out, outd)

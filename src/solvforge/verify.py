@@ -108,9 +108,9 @@ def residual(
 
 
 def matrix_residual(
-    Vm: Sequence[Sequence[SampledField]],
+    Vm: SampledField,
     h: SampledField,
-    Phi: Sequence[Sequence["Solution"]],
+    Phi: SampledField,
     gamma_sq: Sequence[float],
     tol: float = DEFAULT_TRANSFORM_TOL,
 ) -> ResidualReport:
@@ -118,38 +118,36 @@ def matrix_residual(
 
     For each entry (alpha, beta):
         -phi''_ab + sum_b' V_ab' phi_b'b - gamma_a^2 h phi_ab
-    Phi may be N x K (columns are solution vectors); V must be N x N.
-    The report aggregates the worst entry; argmax_node is its grid node.
+    Vm is an (n, N, N) stack; Phi is (n, N, K) (columns are solution
+    vectors), or (n, N) for a single solution vector.  The report aggregates
+    the worst entry; argmax_node is its grid node.
     """
-    n_rows = len(Phi)
-    n_cols = len(Phi[0])
-    if len(Vm) != n_rows or any(len(row) != n_rows for row in Vm):
+    phi = Phi.values if Phi.values.ndim == 3 else Phi.values[:, :, None]
+    v = Vm.values
+    n_rows = phi.shape[1]
+    if v.shape[1:] != (n_rows, n_rows):
         raise ValueError("potential matrix shape does not match the solution rows")
     if len(gamma_sq) != n_rows:
         raise ValueError("need one gamma^2 per channel row")
     g = h.grid
+    if g != Vm.grid or g != Phi.grid:
+        raise GridMismatchError("residual operands live on different grids")
     if g.n < 7:
         raise GridTooSmallError(f"residual stencil needs at least 7 nodes, got {g.n}")
-
-    phi_vals = np.array([[Phi[i][j].field.values for j in range(n_cols)] for i in range(n_rows)])
-    v_vals = np.array([[Vm[i][j].values for j in range(n_rows)] for i in range(n_rows)])
     gam = np.asarray(gamma_sq, dtype=float)
 
-    coupling = np.einsum("ikn,kjn->ijn", v_vals, phi_vals)
+    # the coupling sum runs over k in order, from zero
+    coupling = sum(v[:, :, k, None] * phi[:, None, k, :] for k in range(n_rows))
     d2 = (
-        -phi_vals[..., :-4]
-        + 16.0 * phi_vals[..., 1:-3]
-        - 30.0 * phi_vals[..., 2:-2]
-        + 16.0 * phi_vals[..., 3:-1]
-        - phi_vals[..., 4:]
+        -phi[:-4] + 16.0 * phi[1:-3] - 30.0 * phi[2:-2] + 16.0 * phi[3:-1] - phi[4:]
     ) / (12.0 * g.step * g.step)
-    rhs = gam[:, None, None] * h.values[None, None, :] * phi_vals
-    defect = -d2 + coupling[..., 2:-2] - rhs[..., 2:-2]
+    rhs = gam[:, None] * h.values[:, None, None] * phi
+    defect = -d2 + coupling[2:-2] - rhs[2:-2]
 
     scale = float(np.max(np.abs(rhs))) + 1.0
-    flat = np.abs(defect).reshape(-1, defect.shape[-1])
-    worst = int(np.argmax(flat.max(axis=0)))
-    max_abs = float(flat[:, worst].max())
+    per_node = np.abs(defect).reshape(defect.shape[0], -1).max(axis=1)
+    worst = int(np.argmax(per_node))
+    max_abs = float(per_node[worst])
     max_rel = max_abs / scale
     return ResidualReport(max_abs, max_rel, worst + 2, tol, max_rel <= tol)
 

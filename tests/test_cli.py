@@ -36,6 +36,14 @@ def _multichannel_config(out_dir):
     }
 
 
+def _set_key(cfg, path, value):
+    """Set a dotted key path such as "seeds.0.gamma_sq" (digits index lists)."""
+    *parents, last = path.split(".")
+    for key in parents:
+        cfg = cfg[int(key)] if isinstance(cfg, list) else cfg[key]
+    cfg[int(last) if isinstance(cfg, list) else last] = value
+
+
 def _read_csv_columns(path):
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -101,6 +109,21 @@ class TestRunDarboux:
         cfg = _darboux_config(str(tmp_path / "out"))
         rc = main(["run", _write_config(tmp_path / "job.json", cfg)])
         assert rc == 4
+
+    def test_env_tolerance_unread_when_config_sets_one(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("FORGE_RESIDUAL_TOL", "abc")
+        cfg = _darboux_config(str(tmp_path / "out"))
+        cfg["tolerance"] = 1e-5
+        assert main(["run", _write_config(tmp_path / "job.json", cfg)]) == 0
+
+    def test_malformed_env_tolerance_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FORGE_RESIDUAL_TOL", "abc")
+        out = tmp_path / "out"
+        rc = main(["run", _write_config(tmp_path / "job.json", _darboux_config(str(out)))])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestRunOtherModes:
@@ -181,19 +204,43 @@ class TestConfigErrors:
             (False, "eval_gammas", ["x"]),
             (False, "seeds", [3]),
             (True, "eval_gammas", [["a", "b"]]),
+            (True, "seeds.gamma_prime_sq", [[1], -1.5]),
+            (True, "seeds.c", [None, 0.4]),
+            (True, "seeds.c", ["0.6", 0.4]),
+            (True, "base.V0", [0, "-2/(1+r)^2"]),
+            (False, "output.dir", 5),
+            (False, "output.dir", ["out"]),
+            (False, "output.dir", ""),
+            (False, "output.dir", "out\0x"),
+            (False, "eval_gammas", [float("nan")]),
+            (False, "seeds.0.gamma_sq", float("inf")),
+            (False, "seeds.0", {"gamma_sq": -1.0, "bc": {"value": "1", "slope": True}}),
+            (False, "seeds.0", {"gamma_sq": -1.0, "bc": {"value": float("nan"), "slope": 0.0}}),
         ],
         ids=["tol-string", "tol-nan", "tol-negative", "gamma-string", "seed-not-object",
-             "multichannel-gamma-strings"],
+             "multichannel-gamma-strings", "multichannel-gamma-prime-list",
+             "multichannel-c-null", "multichannel-c-string", "multichannel-v0-number",
+             "out-dir-number", "out-dir-list", "out-dir-empty", "out-dir-nul", "gamma-nan", "seed-gamma-inf",
+             "bc-value-string", "bc-value-nan"],
     )
     def test_malformed_value_exits_2_cleanly(self, tmp_path, capsys, multichannel, key, value):
         out = tmp_path / "out"
         cfg = _multichannel_config(str(out)) if multichannel else _darboux_config(str(out))
-        cfg[key] = value
+        _set_key(cfg, key, value)
         rc = main(["run", _write_config(tmp_path / "job.json", cfg)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        cfg = _darboux_config(str(taken), grid={"a": 0.0, "b": 2.0, "n": 2001})
+        assert main(["run", _write_config(tmp_path / "job.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json", "taken"]
 
     @pytest.mark.parametrize("prefix", ["../escaped", "sub/name", "..", "."])
     def test_prefix_must_stay_in_out_dir(self, tmp_path, prefix):
@@ -263,6 +310,31 @@ class TestVerifySubcommand:
             "--h", "1", "--gamma-sq", "1.0",
         ])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "extra, env",
+        [
+            (["--tol", "nan"], None),
+            (["--tol", "-1"], None),
+            (["--tol", "inf"], None),
+            (["--gamma-sq", "nan"], None),
+            ([], "abc"),
+        ],
+        ids=["tol-nan", "tol-negative", "tol-inf", "gamma-nan", "env-tol-string"],
+    )
+    def test_bad_number_exits_2(self, exported, capsys, monkeypatch, extra, env):
+        out, _ = exported
+        if env is not None:
+            monkeypatch.setenv("FORGE_RESIDUAL_TOL", env)
+        capsys.readouterr()
+        rc = main([
+            "verify", str(out / "well_potential.csv"), str(out / "well_solution_000.csv"),
+            "--h", "1", "--gamma-sq", "1.0", *extra,
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     def test_malformed_csv(self, exported, tmp_path):
         out, _ = exported

@@ -1,5 +1,7 @@
 """Coupled-channel transform."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,12 +11,11 @@ from solvforge import (
     BargmannSeed,
     ChannelSystem,
     ConfigError,
-    CustomBC,
     Direction,
     DuplicateSpectralError,
     NonUniformShiftError,
     RadialGrid,
-    Solution,
+    SampledField,
     bargmann_potential,
     bargmann_solution,
     diagonal_base_system,
@@ -46,11 +47,38 @@ def two_channel():
     )
 
 
-def _vector_matrix(cs, fields, gammas):
-    return tuple(
-        (Solution(gammas[a], fields[a], CustomBC(0.0, 0.0, "left")),)
-        for a in range(cs.n_channels)
-    )
+def _channel_potential(cs, a):
+    """Diagonal entry (a, a) of the base potential as a scalar field."""
+    return SampledField(cs.grid, cs.v0.values[:, a, a], cs.v0.derivs[:, a, a])
+
+
+def test_two_channel_bits_pinned(two_channel):
+    # configs/two_channel.json at its first eval_gammas entry: the exact bits
+    # of the potential, seed vectors, D and both solution forms
+    cs = two_channel
+    gnew = [gp + 1.0 for gp in cs.gamma_prime_sq]
+    fields = {
+        "potential": multichannel_potential(cs),
+        "psi0": seed_vectors(cs),
+        "psi": transformed_seed_vectors(cs),
+        "D": transform_denominator(cs),
+        "integral": multichannel_solution(cs, gnew),
+        "wronskian": multichannel_solution(cs, gnew, form="wronskian"),
+    }
+    digests = {
+        name: hashlib.sha256(
+            np.ascontiguousarray(f.values).tobytes() + np.ascontiguousarray(f.derivs).tobytes()
+        ).hexdigest()
+        for name, f in fields.items()
+    }
+    assert digests == {
+        "potential": "1bfc7ba1822bb6d6d385dea936daca67190d07b9cfa46c00b4e2685b01c946c5",
+        "psi0": "57f3d082901c298578b0207a95066917bf36ac78ed9cb6489904aceadcc54dbd",
+        "psi": "366774bb320de09fcbacaf5e5cfe10ac948c17ef03b7259995a68ce77082aa7a",
+        "D": "f1323662e4dcaa8bb78d005a43f677e8d11a3c65b6e810a03347107896886073",
+        "integral": "dd6c9b452518e907439f0da1ea1ef419478995db7ef6f021a17198068d08100c",
+        "wronskian": "a23789d0bc72bb4c63eac15384af51e752546ee59525ff8086b09bbcadc9a960",
+    }
 
 
 def test_intermediates_computed_once_per_system(two_channel, monkeypatch):
@@ -76,22 +104,19 @@ class TestSeedVectors:
     def test_zero_coefficients(self):
         g = RadialGrid(0.0, 2.0, 2001)
         cs = diagonal_base_system(["0"], "1", g, [-1.0], [0.0])
-        (psi0,) = seed_vectors(cs)
+        psi0 = seed_vectors(cs)
         assert np.all(psi0.values == 0.0)
 
     def test_single_channel_scaling(self):
         g = RadialGrid(0.0, 2.0, 2001)
         cs = diagonal_base_system(["0"], "1", g, [-1.0], [0.7])
-        (psi0,) = seed_vectors(cs)
-        assert np.max(np.abs(psi0.values - 0.7 * cs.phi0[0][0].values)) < 1e-14
+        psi0 = seed_vectors(cs)
+        assert np.max(np.abs(psi0.values[:, 0] - 0.7 * cs.phi0.values[:, 0, 0])) < 1e-14
 
     def test_satisfy_coupled_system(self, two_channel):
         cs = two_channel
         psi0 = seed_vectors(cs)
-        rep = matrix_residual(
-            cs.v0, cs.h_field, _vector_matrix(cs, psi0, cs.gamma_prime_sq),
-            cs.gamma_prime_sq, tol=1e-6,
-        )
+        rep = matrix_residual(cs.v0, cs.h_field, psi0, cs.gamma_prime_sq, tol=1e-6)
         assert rep.passed
 
 
@@ -101,7 +126,7 @@ class TestDenominator:
         cs = diagonal_base_system(["0"], "1", g, [-1.0], [0.0])
         d = transform_denominator(cs)
         assert np.all(d.values == 1.0)
-        (psi,) = transformed_seed_vectors(cs)
+        psi = transformed_seed_vectors(cs)
         assert np.all(psi.values == 0.0)
 
     def test_single_channel_closed_form(self):
@@ -120,13 +145,11 @@ class TestPotentialMatrix:
         g = RadialGrid(0.0, 3.0, 3001)
         cs = diagonal_base_system(["exp(-r)", "0"], "1", g, [-1.0, -2.0], [0.0, 0.0])
         v = multichannel_potential(cs)
-        for a in range(2):
-            for b in range(2):
-                assert np.array_equal(v[a][b].values, cs.v0[a][b].values)
+        assert np.array_equal(v.values, cs.v0.values)
 
     def test_exactly_symmetric(self, two_channel):
         v = multichannel_potential(two_channel)
-        defect = np.max(np.abs(v[0][1].values - v[1][0].values))
+        defect = np.max(np.abs(v.values[:, 0, 1] - v.values[:, 1, 0]))
         assert defect <= 1e-5
         assert defect < 1e-12  # psi is proportional to psi0, so it is exact
 
@@ -134,35 +157,30 @@ class TestPotentialMatrix:
         cs = two_channel
         v = multichannel_potential(cs)
         psi = transformed_seed_vectors(cs)
-        rep = matrix_residual(
-            v, cs.h_field, _vector_matrix(cs, psi, cs.gamma_prime_sq),
-            cs.gamma_prime_sq, tol=1e-5,
-        )
+        rep = matrix_residual(v, cs.h_field, psi, cs.gamma_prime_sq, tol=1e-5)
         assert rep.passed
 
     def test_derivative_channels_match_finite_differences(self, two_channel):
         cs = two_channel
         v = multichannel_potential(cs)
         step = cs.grid.step
-        for a in range(2):
-            for b in range(2):
-                dev = np.abs(v[a][b].derivs[2:-2] - fd4(v[a][b].values, step))
-                assert np.max(dev) < 1e-9
+        dev = np.abs(v.derivs[2:-2] - fd4(v.values, step))
+        assert np.max(dev) < 1e-9
 
     def test_single_channel_reduces_to_bargmann(self):
         # N = 1 with coefficient c equals the M = 1 transform with C = c^2
         g = RadialGrid(0.0, 4.0, 4001)
         c1 = 0.8
         cs = diagonal_base_system(["0"], "1 + exp(-r)", g, [-1.0], [c1])
-        v_mc = multichannel_potential(cs)[0][0]
+        v_mc = multichannel_potential(cs).values[:, 0, 0]
 
         v0 = const(g, 0.0)
         he = parse("1 + exp(-r)")
-        seed = cs.phi0[0][0]
+        seed = solve(_channel_potential(cs, 0), cs.h_field, -1.0, REGULAR_AT_LEFT)
         sset = make_seed_set([BargmannSeed(-1.0, c1 ** 2, seed)], v0, he, Direction.FROM_LEFT)
         pm = p_matrix(sset)
         v_b = bargmann_potential(sset, pm)
-        assert np.max(np.abs(v_mc.values - v_b.values)) < 1e-10
+        assert np.max(np.abs(v_mc - v_b.values)) < 1e-10
 
         d = transform_denominator(cs)
         assert np.max(np.abs(d.values - pm.entries[:, 0, 0])) < 1e-12
@@ -172,14 +190,17 @@ class TestPotentialMatrix:
         h_expr = parse("1")
         hf = evaluate_on_grid(h_expr, g)
         zero = const(g, 0.0)
-        v01 = const(g, 0.5)
         sol = solve(zero, hf, -1.0, REGULAR_AT_LEFT)
-        z = Solution(-1.0, const(g, 0.0), CustomBC(0, 0, "left"))
+        v0 = np.zeros((g.n, 2, 2))
+        v0[:, 0, 1] = 0.5
+        phi, dphi = np.zeros((g.n, 2, 2)), np.zeros((g.n, 2, 2))
+        for a in range(2):
+            phi[:, a, a], dphi[:, a, a] = sol.values, sol.derivs
         with pytest.raises(ValueError, match="symmetric"):
             ChannelSystem(
                 g, h_expr, hf,
-                ((zero, v01), (zero, zero)),
-                ((sol, z), (z, sol)),
+                SampledField(g, v0, np.zeros((g.n, 2, 2))),
+                SampledField(g, phi, dphi),
                 (-1.0, -1.0),
                 (0.5, 0.5),
             )
@@ -192,12 +213,10 @@ class TestSolutionMatrix:
         gnew = [0.5, -0.5]
         phi = multichannel_solution(cs, gnew)
         ref = multichannel_solution(cs, gnew)  # deterministic
-        for a in range(2):
-            for b in range(2):
-                assert np.array_equal(phi[a][b].values, ref[a][b].values)
+        assert np.array_equal(phi.values, ref.values)
         # against directly solved base
-        base = solve(cs.v0[0][0], cs.h_field, 0.5, REGULAR_AT_LEFT)
-        assert np.array_equal(phi[0][0].values, base.values)
+        base = solve(_channel_potential(cs, 0), cs.h_field, 0.5, REGULAR_AT_LEFT)
+        assert np.array_equal(phi.values[:, 0, 0], base.values)
 
     def test_residual_at_shifted_spectra(self, two_channel):
         cs = two_channel
@@ -213,9 +232,7 @@ class TestSolutionMatrix:
         gnew = [gp + 1.7 for gp in cs.gamma_prime_sq]
         a = multichannel_solution(cs, gnew, form="integral")
         b = multichannel_solution(cs, gnew, form="wronskian")
-        gap = max(
-            np.max(np.abs(a[i][j].values - b[i][j].values)) for i in range(2) for j in range(2)
-        )
+        gap = np.max(np.abs(a.values - b.values))
         assert gap < 1e-7
 
     def test_zero_shift_integral_form(self, two_channel):
@@ -240,17 +257,18 @@ class TestSolutionMatrix:
         c1 = 0.8
         cs = diagonal_base_system(["0"], "1 + exp(-r)", g, [-1.0], [c1])
         gnew = [1.2]
-        phi_mc = multichannel_solution(cs, gnew)[0][0]
+        phi_mc = multichannel_solution(cs, gnew).values[:, 0, 0]
 
         v0 = const(g, 0.0)
         he = parse("1 + exp(-r)")
         sset = make_seed_set(
-            [BargmannSeed(-1.0, c1 ** 2, cs.phi0[0][0])], v0, he, Direction.FROM_LEFT
+            [BargmannSeed(-1.0, c1 ** 2, solve(v0, cs.h_field, -1.0, REGULAR_AT_LEFT))],
+            v0, he, Direction.FROM_LEFT,
         )
         pm = p_matrix(sset)
         phi0 = solve(v0, cs.h_field, 1.2, REGULAR_AT_LEFT)
         phi_b = bargmann_solution(sset, pm, phi0)
-        assert np.max(np.abs(phi_mc.values - phi_b.values)) < 1e-10
+        assert np.max(np.abs(phi_mc - phi_b.values)) < 1e-10
 
     def test_jost_frame_pipeline(self):
         # decaying seeds, right-anchored integrals, downshifted evaluation
@@ -266,7 +284,7 @@ class TestSolutionMatrix:
         d = transform_denominator(cs)
         assert np.all(d.values > 0)
         v = multichannel_potential(cs)
-        assert np.max(np.abs(v[0][1].values - v[1][0].values)) < 1e-12
+        assert np.max(np.abs(v.values[:, 0, 1] - v.values[:, 1, 0])) < 1e-12
         gnew = [gp - 0.75 for gp in cs.gamma_prime_sq]
         phi = multichannel_solution(cs, gnew)
         rep = matrix_residual(v, cs.h_field, phi, gnew, tol=1e-5)
@@ -276,7 +294,10 @@ class TestSolutionMatrix:
         cs = two_channel
         # fabricate a coupled system by symmetric off-diagonal entries
         off = field_of("0.1*exp(-r)", cs.grid)
-        v0 = ((cs.v0[0][0], off), (off, cs.v0[1][1]))
+        vals, ders = cs.v0.values.copy(), cs.v0.derivs.copy()
+        vals[:, 0, 1] = vals[:, 1, 0] = off.values
+        ders[:, 0, 1] = ders[:, 1, 0] = off.derivs
+        v0 = SampledField(cs.grid, vals, ders)
         coupled = ChannelSystem(
             cs.grid, cs.h, cs.h_field, v0, cs.phi0, cs.gamma_prime_sq, cs.c,
             seed_tol=1.0,  # base matrix no longer solves this V0; skip that gate

@@ -8,8 +8,10 @@ from solvforge import (
     REGULAR_AT_LEFT,
     CustomBC,
     Direction,
+    GridMismatchError,
     GridTooSmallError,
     RadialGrid,
+    SampledField,
     Solution,
     check_wronskian_integral,
     default_tolerance,
@@ -61,12 +63,20 @@ class TestResidual:
         assert abs(rep.argmax_node - 500) <= 2
 
 
+def _stack(rows):
+    """(n, N, K) stack of an N x K nested list of fields or solutions."""
+    grid = rows[0][0].grid
+    values = np.stack([np.stack([f.values for f in row], axis=-1) for row in rows], axis=1)
+    derivs = np.stack([np.stack([f.derivs for f in row], axis=-1) for row in rows], axis=1)
+    return SampledField(grid, values, derivs)
+
+
 class TestMatrixResidual:
     def test_reduces_to_scalar_at_n1(self, grid01):
         v0, h1 = unit_problem(grid01)
         phi = _analytic_solution("sin(r)", 1.0, grid01)
         scalar = residual(v0, h1, phi, tol=1e-8)
-        mat = matrix_residual(((v0,),), h1, ((phi,),), [1.0], tol=1e-8)
+        mat = matrix_residual(_stack([[v0]]), h1, _stack([[phi]]), [1.0], tol=1e-8)
         assert mat.max_abs == scalar.max_abs
         assert mat.max_rel == scalar.max_rel
 
@@ -78,7 +88,7 @@ class TestMatrixResidual:
             (_analytic_solution("sin(r)", 1.0, grid01), _analytic_solution("0", 1.0, grid01)),
             (_analytic_solution("0", 4.0, grid01), _analytic_solution("sin(2*r)", 4.0, grid01)),
         )
-        rep = matrix_residual(vm, h1, phi, [1.0, 4.0], tol=1e-8)
+        rep = matrix_residual(_stack(vm), h1, _stack(phi), [1.0, 4.0], tol=1e-8)
         assert rep.passed
 
     def test_coupling_sum_enters(self, grid01):
@@ -91,8 +101,16 @@ class TestMatrixResidual:
             (_analytic_solution("sin(r)", 1.0, grid01), _analytic_solution("sin(r)", 1.0, grid01)),
             (_analytic_solution("sin(r)", 1.0, grid01), _analytic_solution("sin(r)", 1.0, grid01)),
         )
-        rep = matrix_residual(vm, h1, phi, [1.0, 1.0], tol=1e-6)
+        rep = matrix_residual(_stack(vm), h1, _stack(phi), [1.0, 1.0], tol=1e-6)
         assert not rep.passed
+
+    def test_grid_mismatch_rejected(self, grid01):
+        v0, h1 = unit_problem(grid01)
+        phi = _analytic_solution("sin(r)", 1.0, grid01)
+        other = RadialGrid(0.0, 2.0, grid01.n)
+        moved = SampledField(other, phi.values, phi.derivs)
+        with pytest.raises(GridMismatchError):
+            matrix_residual(_stack([[v0]]), h1, _stack([[moved]]), [1.0])
 
 
 class TestWronskianIntegral:
