@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+import warnings
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -109,29 +110,45 @@ def _csv(header: list[str], columns: list[np.ndarray]) -> str:
 
 
 def _read_csv(path: str, expected_header: list[str]) -> dict[str, np.ndarray]:
+    """The columns of an exported CSV, keyed by header name.
+
+    The first non-blank line must equal `expected_header`.  Every later line
+    must hold that many comma-separated decimal numbers (`nan` and `inf`
+    allowed); empty lines are skipped.  numpy's C reader converts each cell
+    with the same correctly rounded routine as float(), so the arrays are bit
+    for bit those of a per-cell float() loop.
+    """
     try:
-        with open(path) as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                if line.strip():
+                    break
+            else:
+                raise ConfigError(f"{path} is empty")
+            header = line.strip()
+            if header.split(",") != expected_header:
+                raise ConfigError(
+                    f"{path}: expected header {','.join(expected_header)!r}, got {header!r}"
+                )
+            with warnings.catch_warnings():
+                # a header-only file is reported below, not as numpy's warning
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    if not lines:
-        raise ConfigError(f"{path} is empty")
-    header = lines[0].split(",")
-    if header != expected_header:
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    except ValueError as exc:
+        # numpy's message, less its advice on `usecols`
+        reason = str(exc).split(";")[0]
+        raise ConfigError(f"{path}, in the rows after the header: {reason}") from exc
+    if data.size == 0:
+        raise ConfigError(f"{path} has a header but no data rows")
+    if data.shape[1] != len(expected_header):
         raise ConfigError(
-            f"{path}: expected header {','.join(expected_header)!r}, got {lines[0]!r}"
+            f"{path}: expected {len(expected_header)} columns, got {data.shape[1]}"
         )
-    rows = []
-    for k, ln in enumerate(lines[1:], start=2):
-        parts = ln.split(",")
-        if len(parts) != len(header):
-            raise ConfigError(f"{path}:{k}: expected {len(header)} columns, got {len(parts)}")
-        try:
-            rows.append([float(p) for p in parts])
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{k}: non-numeric entry") from exc
-    data = np.asarray(rows)
-    return {name: data[:, j] for j, name in enumerate(header)}
+    return {name: data[:, j] for j, name in enumerate(expected_header)}
 
 
 # ---------------------------------------------------------------------------
@@ -146,8 +163,10 @@ def _load_config(path: str) -> tuple[dict, str]:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     try:
         cfg = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # also bytes that are not UTF-8, and over-long integers
+        raise ConfigError(f"config cannot be parsed as JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config nests too deeply: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
     return cfg, hashlib.sha256(raw).hexdigest()

@@ -1,11 +1,17 @@
 """End-to-end CLI behaviour: jobs, exports, re-verification, exit codes."""
 
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from solvforge.cli import main
+from solvforge.cli import _csv, _read_csv, main
+
+SHIPPED_CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
 
 
 def _write_config(path, cfg):
@@ -49,6 +55,18 @@ def _read_csv_columns(path):
         header = fh.readline().strip().split(",")
         data = np.loadtxt(fh, delimiter=",")
     return header, data
+
+
+# Edits of an exported CSV's lines that fall outside the documented format.
+# float() accepts every cell of the last three; the reader rejects them because
+# `_csv` never writes them.
+_CSV_EDITS = {
+    "header-only": lambda lines: lines[:1],
+    "not-utf8": lambda lines: [lines[0], b"\xff" + lines[1][1:], *lines[2:]],
+    "underscore-digits": lambda lines: [*lines[:2], re.sub(rb"(\d)(\d)", rb"\1_\2", lines[2], count=1), *lines[3:]],
+    "whitespace-only-line": lambda lines: [*lines[:2], b" \n", *lines[2:]],
+    "non-ascii-digit": lambda lines: [lines[0], "\u0660".encode() + lines[1][1:], *lines[2:]],
+}
 
 
 class TestRunDarboux:
@@ -242,6 +260,19 @@ class TestConfigErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json", "taken"]
 
+    @pytest.mark.parametrize(
+        "raw",
+        [b'{"mode": "\xff"}', b"[" * 100_000 + b"]" * 100_000, b'{"tolerance": ' + b"1" * 5000 + b"}"],
+        ids=["not-utf8", "nested-too-deep", "integer-too-long"],
+    )
+    def test_unparseable_config_exits_2_cleanly(self, tmp_path, capsys, monkeypatch, raw):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "job.json").write_bytes(raw)
+        assert main(["run", "job.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["job.json"]
+
     @pytest.mark.parametrize("prefix", ["../escaped", "sub/name", "..", "."])
     def test_prefix_must_stay_in_out_dir(self, tmp_path, prefix):
         cfg = _darboux_config(str(tmp_path / "out"))
@@ -343,6 +374,53 @@ class TestVerifySubcommand:
         rc = main(["verify", str(bad), str(out / "well_solution_000.csv"),
                    "--h", "1", "--gamma-sq", "1.0"])
         assert rc == 2
+
+    @pytest.mark.parametrize("edit", list(_CSV_EDITS.values()), ids=list(_CSV_EDITS))
+    def test_malformed_csv_exits_2_cleanly(self, exported, tmp_path, capsys, edit):
+        out, _ = exported
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"".join(edit((out / "well_potential.csv").read_bytes().splitlines(keepends=True))))
+        capsys.readouterr()
+        rc = main(["verify", str(bad), str(out / "well_solution_000.csv"),
+                   "--h", "1", "--gamma-sq", "1.0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _assert_reads_as_float(path, header):
+    """_read_csv(path) holds the bits of float() applied to every cell."""
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    want = np.array([[float(c) for c in row] for row in rows]).reshape(len(rows), len(header))
+    got = _read_csv(str(path), header)
+    for j, key in enumerate(header):
+        assert got[key].view(np.uint64).tolist() == want[:, j].view(np.uint64).tolist(), (path, key)
+
+
+class TestCsvReader:
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.lists(st.tuples(*[st.floats(allow_subnormal=True)] * 3), min_size=1, max_size=40))
+    @example([(0.0, -0.0, 5e-324), (-5e-324, 2.2250738585072014e-308, 1.7976931348623157e308),
+              (float("inf"), float("-inf"), float("nan"))])
+    def test_bit_identical_to_float(self, tmp_path, rows):
+        header = ["r", "phi", "dphi"]
+        csv_path, repr_path = tmp_path / "csv.csv", tmp_path / "repr.csv"
+        csv_path.write_text(_csv(header, [np.array(c) for c in zip(*rows)]))
+        repr_path.write_text("r,phi,dphi\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
+        _assert_reads_as_float(csv_path, header)
+        _assert_reads_as_float(repr_path, header)
+
+    def test_shipped_artifacts_bit_identical_to_float(self, tmp_path):
+        for k, cfg in enumerate(SHIPPED_CONFIGS):
+            out = tmp_path / f"out_{k}"
+            assert main(["run", str(cfg), "--out-dir", str(out)]) == 0, cfg
+            paths = sorted(out.glob("*.csv"))
+            assert paths, cfg
+            for path in paths:
+                with open(path) as fh:
+                    header = fh.readline().strip().split(",")
+                _assert_reads_as_float(path, header)
 
 
 class TestSampleConfigs:
