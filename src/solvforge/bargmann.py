@@ -258,7 +258,7 @@ def bargmann_potential(sset: BargmannSeedSet, pm: PMatrix | None = None) -> Samp
     phi, dphi, coeff, gam = sset._stacked
     hf = sset.h_field
     hv, hd = hf.values, hf.derivs
-    hdd = sset.h.derivative().derivative().evaluate(sset.grid.r)
+    hdd = sset.h.jet(sset.grid.r, 2)[2]
 
     # second derivatives of the base solutions via the governing equation
     ddphi = (sset.v0.values[:, None] - gam[None, :] * hv[:, None]) * phi

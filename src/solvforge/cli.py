@@ -19,9 +19,11 @@ digits and the report echoes the config together with its SHA-256.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
+import re
 import sys
 import warnings
 from typing import Callable, NamedTuple
@@ -116,11 +118,13 @@ def _read_csv(path: str, expected_header: list[str]) -> dict[str, np.ndarray]:
     must hold that many comma-separated decimal numbers (`nan` and `inf`
     allowed); empty lines are skipped.  numpy's C reader converts each cell
     with the same correctly rounded routine as float(), so the arrays are bit
-    for bit those of a per-cell float() loop.
+    for bit those of a per-cell float() loop.  Errors in the data name the
+    file line, counted from the top of the file.
     """
+    header_line = None
     try:
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
+            for header_line, line in enumerate(fh, 1):
                 if line.strip():
                     break
             else:
@@ -128,7 +132,8 @@ def _read_csv(path: str, expected_header: list[str]) -> dict[str, np.ndarray]:
             header = line.strip()
             if header.split(",") != expected_header:
                 raise ConfigError(
-                    f"{path}: expected header {','.join(expected_header)!r}, got {header!r}"
+                    f"{path}:{header_line}: expected header {','.join(expected_header)!r}, "
+                    f"got {header!r}"
                 )
             with warnings.catch_warnings():
                 # a header-only file is reported below, not as numpy's warning
@@ -139,16 +144,49 @@ def _read_csv(path: str, expected_header: list[str]) -> dict[str, np.ndarray]:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
     except ValueError as exc:
-        # numpy's message, less its advice on `usecols`
-        reason = str(exc).split(";")[0]
-        raise ConfigError(f"{path}, in the rows after the header: {reason}") from exc
+        if header_line is None:  # open() refused the path (an embedded NUL)
+            raise ConfigError(f"cannot read {path!r}: {exc}") from exc
+        raise ConfigError(_located(path, header_line, str(exc))) from exc
     if data.size == 0:
         raise ConfigError(f"{path} has a header but no data rows")
     if data.shape[1] != len(expected_header):
         raise ConfigError(
-            f"{path}: expected {len(expected_header)} columns, got {data.shape[1]}"
+            f"{_where(path, header_line, 0)}: "
+            f"expected {len(expected_header)} columns, got {data.shape[1]}"
         )
     return {name: data[:, j] for j, name in enumerate(expected_header)}
+
+
+# numpy's loadtxt messages: a bad cell names its data row from 0, a change
+# in the column count names it from 1; empty lines are not counted
+_BAD_CELL = re.compile(r" at row (\d+), column (\d+)\.?$")
+_COLUMNS_CHANGED = re.compile(r" at row (\d+)$")
+
+
+def _located(path: str, header_line: int, message: str) -> str:
+    """numpy's error message for the rows after the header, as path:line."""
+    reason = message.split(";")[0]  # less numpy's advice on `usecols`
+    m = _BAD_CELL.search(reason)
+    if m:
+        row, reason = int(m.group(1)), f"{reason[:m.start()]} in column {m.group(2)}"
+    else:
+        m = _COLUMNS_CHANGED.search(reason)
+        if m is None:
+            return f"{path}, in the rows after the header: {reason}"
+        row, reason = int(m.group(1)) - 1, reason[:m.start()]
+    return f"{_where(path, header_line, row)}: {reason}"
+
+
+def _where(path: str, header_line: int, row: int) -> str:
+    """path:line of data row `row` (from 0), skipping empty lines as numpy does.
+    Bytes past the point numpy reached may not decode; they cannot move a line."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for number, line in enumerate(fh, 1):
+            if number > header_line and line.rstrip("\n"):
+                if row == 0:
+                    return f"{path}:{number}"
+                row -= 1
+    return f"{path}, in the rows after the header"
 
 
 # ---------------------------------------------------------------------------
@@ -549,8 +587,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() reuses across calls; parse_args keeps no state."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -32,12 +32,13 @@ import numpy as np
 
 from .errors import (
     DirectionMismatchError,
+    DomainError,
     DuplicateSpectralError,
     GridMismatchError,
     SingularPotentialError,
     SingularSeedError,
 )
-from .expr import AnalyticExpr, call, evaluate_on_grid
+from .expr import AnalyticExpr, evaluate_on_grid
 from .grid import Direction, RadialGrid, SampledField, signed_prefix
 from .solver import CustomBC, JostAtRight, RegularAtLeft, Solution
 
@@ -60,6 +61,11 @@ def _as_field(h: AnalyticExpr | SampledField, grid: RadialGrid) -> SampledField:
             raise GridMismatchError("weight sampled on a different grid")
         return h
     return evaluate_on_grid(h, grid)
+
+
+def _check_domain(bad: np.ndarray, message: str) -> None:
+    if np.any(bad):
+        raise DomainError(message, int(np.flatnonzero(bad)[0]))
 
 
 def _seed_zero_masks(y: np.ndarray, eps: float) -> np.ndarray:
@@ -101,28 +107,33 @@ def darboux_potential(
     grid = V0.grid
     if seed.grid != grid:
         raise GridMismatchError("seed and base potential live on different grids")
-    hf = _as_field(h, grid)
-    s_expr = 1.0 / call("sqrt", h)
-    s1_expr = s_expr.derivative()
-    s2_expr = s1_expr.derivative()
-    s = s_expr.evaluate(grid.r)
-    s1 = s1_expr.evaluate(grid.r)
-    s2 = s2_expr.evaluate(grid.r)
-    s3 = s2_expr.derivative().evaluate(grid.r)
+    # h to h''' from one jet, then s = 1/sqrt(h) to s''' by the chain rule
+    # in q_k = h^(k)/h
+    hj = h.jet(grid.r, 3)
+    _check_domain(~(hj[0] > 0.0), "1/sqrt(h) needs a positive weight")
+    hv, hd = hj[0], hj[1]
+    rt = np.sqrt(hv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        q1, q2, q3 = hj[1:] / hv
+        s = 1.0 / rt
+        s1 = -0.5 * s * q1
+        s2 = s * (0.75 * q1 * q1 - 0.5 * q2)
+        s3 = s * (-1.875 * q1 * q1 * q1 + 2.25 * q1 * q2 - 0.5 * q3)
+    finite = np.isfinite(s1) & np.isfinite(s2) & np.isfinite(s3)
+    _check_domain(~finite, "non-finite derivative of 1/sqrt(h)")
 
     y, yd = seed.values, seed.derivs
     patch = _seed_zero_masks(y, eps_node)
     y_safe = np.where(patch, 1.0, y)
 
-    rt = np.sqrt(hf.values)
-    rtd = hf.derivs / (2.0 * rt)
+    rtd = hd / (2.0 * rt)
     u = yd / y_safe
-    A = V0.values - seed.gamma_sq * hf.values
-    Ad = V0.derivs - seed.gamma_sq * hf.derivs
+    A = V0.values - seed.gamma_sq * hv
+    Ad = V0.derivs - seed.gamma_sq * hd
     up = A - u * u  # u' from the governing equation
 
-    bracket = s1 * u + s * (A - u * u)
-    bracket_d = s2 * u + s1 * up + s1 * (A - u * u) + s * (Ad - 2.0 * u * up)
+    bracket = s1 * u + s * up
+    bracket_d = s2 * u + s1 * up + s1 * up + s * (Ad - 2.0 * u * up)
 
     v = V0.values - 2.0 * rt * bracket + rt * s2
     vd = V0.derivs - 2.0 * (rtd * bracket + rt * bracket_d) + rtd * s2 + rt * s3
@@ -249,7 +260,7 @@ def chain_second_step(
     grid = seed.grid
     hf = first.h_field
     hv, hd = hf.values, hf.derivs
-    hdd = first.h.derivative().derivative().evaluate(grid.r)
+    hdd = first.h.jet(grid.r, 2)[2]
     y, yd = seed.values, seed.derivs
     gamma_prime_sq = seed.gamma_sq
 

@@ -15,14 +15,31 @@ negative values, division by zero, non-integer powers of non-positive bases
 and floating overflow all raise DomainError (with the offending node index
 when evaluating over a grid) instead of returning a non-finite value.
 
-Derivative trees are built by the textbook rules and are only lightly
-constant-folded; they are not simplified beyond that.
+Derivatives come two ways.  `diff` builds a derivative tree by the
+textbook rules, only lightly constant-folded; the public `derivative()`,
+`evaluate_on_grid` and `forge parse-check` use it.  `jet(r, order)` walks the
+original tree once and returns the value and the first `order` derivatives
+together, by truncated Taylor arithmetic (Griewank & Walther, Evaluating
+Derivatives, 2nd ed., SIAM 2008, ch. 13): the Leibniz rule for products, the
+division recurrence for quotients, repeated products for non-negative
+integer powers (so r^2 at r = 0 stays exact), the u^p recurrence for other
+constant exponents and exp(e log b) for exponents that depend on r, and the
+recurrences f' = g u' of the primitives, paired for sin/cos and sinh/cosh,
+with 1 - tanh^2 for tanh and -sech tanh for sech.  The transforms read their
+higher derivatives of the weight from jets, which avoids evaluating nested
+derivative trees that grow with each level.  A jet's value row is the
+value `eval` gives, bit for bit; its derivative rows agree with the
+evaluated derivative trees up to rounding.  Every jet coefficient passes
+the same domain and finiteness checks as `eval`, and a derivative that does
+not exist (sqrt at zero) raises DomainError as well.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
+from math import comb
 from numbers import Real
 
 import numpy as np
@@ -58,6 +75,59 @@ def _ensure_finite(out, what: str):
     return out
 
 
+# Jets are lists of derivatives [f, f', ..., f^(order)], each a numpy scalar
+# or an array shaped like r; constants keep scalar rows.
+
+
+def _leibniz(a, b, k: int, lo: int = 0, hi: int | None = None):
+    """sum_{j=lo}^{hi} C(k, j) a^(j) b^(k-j); with lo = 0, hi = k it is
+    the k-th derivative of a b."""
+    total = None
+    for j in range(lo, (k if hi is None else hi) + 1):
+        term = a[j] * b[k - j]
+        c = comb(k, j)
+        if c != 1:
+            term = c * term
+        total = term if total is None else total + term
+    return np.float64(0.0) if total is None else total
+
+
+def _chain(g, u, k: int):
+    """k-th derivative (k >= 1) of f with f' = g u', from g and u up to
+    orders k - 1 and k."""
+    return _leibniz(g, u[1:], k - 1)
+
+
+def _product_jet(a, b, order: int, what: str) -> list:
+    return [_ensure_finite(_leibniz(a, b, k), what) for k in range(order + 1)]
+
+
+def _exp_jet(value, u, order: int, what: str) -> list:
+    """Jet of f = exp(u) whose value row is given: f' = f u'."""
+    f = [value]
+    for k in range(1, order + 1):
+        f.append(_ensure_finite(_chain(f, u, k), what))
+    return f
+
+
+def _power_jet(value, u, p: float, order: int) -> list:
+    """Jet of v = u^p for a constant p, from u v' = p u' v; needs u != 0."""
+    v = [value]
+    for k in range(1, order + 1):
+        num = p * _leibniz(u[1:], v, k - 1) - _leibniz(u, v[1:], k - 1, lo=1)
+        v.append(_ensure_finite(num / u[0], "power"))
+    return v
+
+
+def _log_jet(value, u, order: int) -> list:
+    """Jet of L = log(u), from u L' = u'; needs u > 0."""
+    f = [value]
+    for k in range(1, order + 1):
+        num = u[k] - _leibniz(u, f[1:], k - 1, lo=1)
+        f.append(_ensure_finite(num / u[0], "log"))
+    return f
+
+
 class Node:
     __slots__ = ()
     prec = _P_ATOM
@@ -66,6 +136,10 @@ class Node:
         raise NotImplementedError
 
     def diff(self) -> "Node":
+        raise NotImplementedError
+
+    def jet(self, r, order: int) -> list:
+        """[value, d/dr, ..., d^order/dr^order] at r, in one pass."""
         raise NotImplementedError
 
     def fmt(self) -> str:
@@ -91,6 +165,9 @@ class Num(Node):
     def diff(self):
         return Num(0.0)
 
+    def jet(self, r, order):
+        return [self.eval(r)] + [np.float64(0.0)] * order
+
     def fmt(self):
         # the sign test is on the text, so -0.0 is parenthesized as well
         s = repr(self.value)
@@ -105,6 +182,9 @@ class Var(Node):
 
     def diff(self):
         return Num(1.0)
+
+    def jet(self, r, order):
+        return ([r, np.float64(1.0)] + [np.float64(0.0)] * (order - 1))[: order + 1]
 
     def fmt(self):
         return "r"
@@ -159,6 +239,10 @@ class Add(Node):
     def diff(self):
         return _add(self.a.diff(), self.b.diff())
 
+    def jet(self, r, order):
+        a, b = self.a.jet(r, order), self.b.jet(r, order)
+        return [_ensure_finite(x + y, "addition") for x, y in zip(a, b)]
+
     def fmt(self):
         return f"{self._wrap(self.a, _P_ADD)} + {self._wrap(self.b, _P_ADD)}"
 
@@ -176,6 +260,10 @@ class Sub(Node):
     def diff(self):
         return _sub(self.a.diff(), self.b.diff())
 
+    def jet(self, r, order):
+        a, b = self.a.jet(r, order), self.b.jet(r, order)
+        return [_ensure_finite(x - y, "subtraction") for x, y in zip(a, b)]
+
     def fmt(self):
         return f"{self._wrap(self.a, _P_ADD)} - {self._wrap(self.b, _P_ADD + 1)}"
 
@@ -192,6 +280,14 @@ class Mul(Node):
 
     def diff(self):
         return _add(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
+
+    def jet(self, r, order):
+        if _is_num(self.a, 0.0) or _is_num(self.b, 0.0):
+            # as in diff, a literal zero factor leaves the other's derivatives
+            # unevaluated (sqrt(r)*0 has derivatives at r = 0)
+            value = self.a.jet(r, 0)[0] * self.b.jet(r, 0)[0]
+            return [_ensure_finite(value, "multiplication")] + [np.float64(0.0)] * order
+        return _product_jet(self.a.jet(r, order), self.b.jet(r, order), order, "multiplication")
 
     def fmt(self):
         return f"{self._wrap(self.a, _P_MUL)}*{self._wrap(self.b, _P_MUL)}"
@@ -215,6 +311,19 @@ class Div(Node):
         num = _sub(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
         return Div(num, Pow(self.b, Num(2.0)))
 
+    def jet(self, r, order):
+        # same order of evaluation and checks as eval; then a = b c gives
+        # c^(k) = (a^(k) - sum_{j>=1} C(k, j) b^(j) c^(k-j)) / b
+        b = self.b.jet(r, order)
+        zero = np.asarray(b[0]) == 0.0
+        if np.any(zero):
+            _fail("division by zero", zero)
+        a = self.a.jet(r, order)
+        c = [_ensure_finite(a[0] / b[0], "division")]
+        for k in range(1, order + 1):
+            c.append(_ensure_finite((a[k] - _leibniz(b, c, k, lo=1)) / b[0], "division"))
+        return c
+
     def fmt(self):
         return f"{self._wrap(self.a, _P_MUL)}/{self._wrap(self.b, _P_MUL + 1)}"
 
@@ -232,6 +341,9 @@ class Neg(Node):
     def diff(self):
         d = self.a.diff()
         return Num(-d.value) if isinstance(d, Num) else Neg(d)
+
+    def jet(self, r, order):
+        return [-x for x in self.a.jet(r, order)]
 
     def fmt(self):
         return f"-{self._wrap(self.a, _P_NEG)}"
@@ -278,6 +390,40 @@ class Pow(Node):
         )
         return _mul(self, term)
 
+    def jet(self, r, order):
+        # the value row is eval's base ** exponent, with eval's checks
+        k = self._integer_exponent()
+        # as in diff, u^0 leaves the base's derivatives unevaluated
+        u = self.base.jet(r, 0 if k == 0 else order)
+        if k == 0:
+            return [_ensure_finite(u[0] ** 0, "power")] + [np.float64(0.0)] * order
+        if k is not None:
+            if k < 0:
+                zero = np.asarray(u[0]) == 0.0
+                if np.any(zero):
+                    _fail("zero base with negative exponent", zero)
+                return _power_jet(_ensure_finite(u[0] ** k, "power"), u, k, order)
+            value = _ensure_finite(u[0] ** k, "power")
+            # binary powering by products, since the u^p recurrence divides by u
+            out = None
+            while k:
+                if k & 1:
+                    out = u if out is None else _product_jet(out, u, order, "power")
+                k >>= 1
+                if k:
+                    u = _product_jet(u, u, order, "power")
+            return [value, *out[1:]]
+        nonpos = ~(np.asarray(u[0]) > 0.0)
+        if np.any(nonpos):
+            _fail("non-integer power of a non-positive base", nonpos)
+        e = self.exp.jet(r, order)
+        value = _ensure_finite(u[0] ** e[0], "power")
+        if isinstance(self.exp, Num):
+            return _power_jet(value, u, self.exp.value, order)
+        # b^e = exp(e log b)
+        logb = _log_jet(np.log(u[0]), u, order)
+        return _exp_jet(value, _product_jet(e, logb, order, "power"), order, "power")
+
     def fmt(self):
         b = self._wrap(self.base, _P_ATOM)
         e = self._wrap(self.exp, _P_NEG)
@@ -316,6 +462,49 @@ _FUNCTIONS = {
 }
 
 
+def _sqrt_jet(s, u, k):
+    # s^2 = u gives 2 s s^(k) = u^(k) - sum_{0<j<k} C(k, j) s^(j) s^(k-j)
+    return (u[k] - _leibniz(s, s, k, lo=1, hi=k - 1)) / (2.0 * s[0])
+
+
+def _fn_jet(name: str, value, u, order: int) -> list:
+    """Jet of name(u) whose value row (eval's) is given."""
+    if name == "exp":
+        return _exp_jet(value, u, order, name)
+    if name == "log":
+        return _log_jet(value, u, order)
+    if name == "sqrt":
+        zero = np.asarray(u[0]) == 0.0
+        if order and np.any(zero):
+            _fail("sqrt has no derivative at zero", zero)
+        f = [value]
+        for k in range(1, order + 1):
+            f.append(_ensure_finite(_sqrt_jet(f, u, k), name))
+        return f
+    if name in ("sin", "cos", "sinh", "cosh"):
+        # paired: sin' = cos u', cos' = -sin u'; sinh' = cosh u', cosh' = sinh u'
+        trig = name in ("sin", "cos")
+        s = [np.sin(u[0]) if trig else np.sinh(u[0])]
+        c = [np.cos(u[0]) if trig else np.cosh(u[0])]
+        for k in range(1, order + 1):
+            s_k, c_k = _chain(c, u, k), _chain(s, u, k)
+            s.append(_ensure_finite(s_k, name))
+            c.append(_ensure_finite(-c_k if trig else c_k, name))
+        f = s if name in ("sin", "sinh") else c
+        return [value, *f[1:]]
+    # tanh' = (1 - tanh^2) u' and sech' = -(sech tanh) u'; the leading
+    # 1 - tanh^2 is taken as sech^2, which does not cancel for large |u|
+    t, sech = [np.tanh(u[0])], [_sech(u[0])]
+    w, p = [sech[0] ** 2], [sech[0] * t[0]]
+    for k in range(1, order + 1):
+        t.append(_ensure_finite(_chain(w, u, k), name))
+        sech.append(_ensure_finite(-_chain(p, u, k), name))
+        if k < order:
+            w.append(-_leibniz(t, t, k))
+            p.append(_leibniz(sech, t, k))
+    return [value, *(t if name == "tanh" else sech)[1:]]
+
+
 class Fn(Node):
     __slots__ = ("name", "a")
 
@@ -328,6 +517,11 @@ class Fn(Node):
 
     def diff(self):
         return _FUNCTIONS[self.name][1](self.a, self.a.diff())
+
+    def jet(self, r, order):
+        u = self.a.jet(r, order)
+        value = _ensure_finite(_FUNCTIONS[self.name][0](u[0]), self.name)
+        return _fn_jet(self.name, value, u, order)
 
     def fmt(self):
         return f"{self.name}({self.a.fmt()})"
@@ -488,6 +682,24 @@ class AnalyticExpr:
 
     def derivative(self) -> "AnalyticExpr":
         return AnalyticExpr(self.root.diff())
+
+    def jet(self, r, order: int) -> np.ndarray:
+        """The value and the first `order` derivatives at r, from one pass.
+
+        Returns an (order + 1, *shape(r)) array whose row k is the k-th
+        derivative; row 0 equals `evaluate(r)` bit for bit.  Domain errors
+        name the first offending node, as in `evaluate`.
+        """
+        order = operator.index(order)
+        if order < 0:
+            raise ValueError(f"jet order must be >= 0, got {order}")
+        arr = np.asarray(r, dtype=float)
+        with np.errstate(all="ignore"):
+            rows = self.root.jet(arr, order)
+        out = np.empty((order + 1,) + arr.shape)
+        for k, row in enumerate(rows):
+            out[k] = row
+        return out
 
     def __str__(self) -> str:
         return self.root.fmt()

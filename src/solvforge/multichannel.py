@@ -258,7 +258,7 @@ def multichannel_potential(cs: ChannelSystem) -> SampledField:
     p0, p0d, p0dd, p, pd, pdd = _psi_arrays(cs)
     hv = cs.h_field.values[:, None, None]
     hd = cs.h_field.derivs[:, None, None]
-    hdd = cs.h.derivative().derivative().evaluate(cs.grid.r)[:, None, None]
+    hdd = cs.h.jet(cs.grid.r, 2)[2][:, None, None]
     g = _outer(p, p0)
     gd = _outer(pd, p0) + _outer(p, p0d)
     gdd = _outer(pdd, p0) + _outer(2.0 * pd, p0d) + _outer(p, p0dd)

@@ -60,12 +60,21 @@ def _read_csv_columns(path):
 # Edits of an exported CSV's lines that fall outside the documented format.
 # float() accepts every cell of the last three; the reader rejects them because
 # `_csv` never writes them.
-_CSV_EDITS = {
-    "header-only": lambda lines: lines[:1],
-    "not-utf8": lambda lines: [lines[0], b"\xff" + lines[1][1:], *lines[2:]],
-    "underscore-digits": lambda lines: [*lines[:2], re.sub(rb"(\d)(\d)", rb"\1_\2", lines[2], count=1), *lines[3:]],
-    "whitespace-only-line": lambda lines: [*lines[:2], b" \n", *lines[2:]],
-    "non-ascii-digit": lambda lines: [lines[0], "\u0660".encode() + lines[1][1:], *lines[2:]],
+_CSV_EDITS = {  # edit of a potential CSV's lines, and the file line the error names
+    "header-only": (lambda lines: lines[:1], None),
+    "not-utf8": (lambda lines: [lines[0], b"\xff" + lines[1][1:], *lines[2:]], None),
+    "underscore-digits": (
+        lambda lines: [*lines[:2], re.sub(rb"(\d)(\d)", rb"\1_\2", lines[2], count=1), *lines[3:]],
+        3,
+    ),
+    "whitespace-only-line": (lambda lines: [*lines[:2], b" \n", *lines[2:]], 3),
+    "non-ascii-digit": (lambda lines: [lines[0], "\u0660".encode() + lines[1][1:], *lines[2:]], 2),
+    "bad-cell": (lambda lines: [*lines[:2], b"0.1,x\n", *lines[3:]], 3),
+    "column-count-change": (lambda lines: [*lines[:3], lines[3].rstrip() + b",1\n", *lines[4:]], 4),
+    "blank-lines-before-bad-cell": (
+        lambda lines: [b"\n", b" \n", *lines[:2], b"\n", b"0.1,x\n", *lines[3:]],
+        6,
+    ),
 }
 
 
@@ -375,8 +384,8 @@ class TestVerifySubcommand:
                    "--h", "1", "--gamma-sq", "1.0"])
         assert rc == 2
 
-    @pytest.mark.parametrize("edit", list(_CSV_EDITS.values()), ids=list(_CSV_EDITS))
-    def test_malformed_csv_exits_2_cleanly(self, exported, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("edit,line", list(_CSV_EDITS.values()), ids=list(_CSV_EDITS))
+    def test_malformed_csv_exits_2_cleanly(self, exported, tmp_path, capsys, edit, line):
         out, _ = exported
         bad = tmp_path / "bad.csv"
         bad.write_bytes(b"".join(edit((out / "well_potential.csv").read_bytes().splitlines(keepends=True))))
@@ -387,6 +396,18 @@ class TestVerifySubcommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        if line is not None:
+            assert captured.err.startswith(f"error: {bad}:{line}: ")
+
+    def test_unopenable_path_exits_2_cleanly(self, exported, capsys):
+        out, _ = exported
+        capsys.readouterr()
+        rc = main(["verify", str(out / "well_potential.csv") + "\x00", str(out / "well_solution_000.csv"),
+                   "--h", "1", "--gamma-sq", "1.0"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: cannot read ") and captured.err.count("\n") == 1
 
 
 def _assert_reads_as_float(path, header):
@@ -477,3 +498,30 @@ class TestParseCheck:
 
     def test_unknown_identifier(self):
         assert main(["parse-check", "foo(r)"]) == 2
+
+
+class TestParserReuse:
+    def test_parser_built_once_and_stateless(self, monkeypatch, capsys):
+        from solvforge import cli
+
+        builds = []
+        real = cli.build_parser
+
+        def counting():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            outs = []
+            for argv in (["parse-check", "r^2"], ["parse-check", "2*(r"], ["parse-check", "r^2"]):
+                outs.append((main(argv), capsys.readouterr()))
+            with pytest.raises(SystemExit) as exc:
+                main(["verify"])
+            assert exc.value.code == 2
+        finally:
+            cli._parser.cache_clear()
+        assert builds == [1]
+        assert [rc for rc, _ in outs] == [0, 2, 0]
+        assert outs[0][1] == outs[2][1]

@@ -9,6 +9,7 @@ from solvforge import (
     CustomBC,
     Direction,
     DirectionMismatchError,
+    DomainError,
     DuplicateSpectralError,
     RadialGrid,
     SingularPotentialError,
@@ -73,6 +74,38 @@ class TestPotential:
         seed = seed_from_expression("cosh(r)", grid10, gamma_sq=-1.0, V0=v0, h=h1)
         v = darboux_potential(seed, parse("1"), v0)
         assert np.max(np.abs(v.derivs[2:-2] - fd4(v.values, grid10.step))) < 1e-9
+
+    def test_weighted_derivative_channel_matches_finite_difference(self, grid10):
+        # a non-constant weight exercises s = 1/sqrt(h) up to its third derivative
+        v0 = field_of("-2/(1+r)^2", grid10)
+        h = parse("1 + exp(-r)")
+        seed = solve(v0, evaluate_on_grid(h, grid10), -2.0, CustomBC(1.0, 0.3, "left"))
+        v = darboux_potential(seed, h, v0)
+        assert np.max(np.abs(v.derivs[2:-2] - fd4(v.values, grid10.step))) < 1e-8
+
+    def test_transform_samples_the_weight_once(self, grid10, monkeypatch):
+        import solvforge.darboux as darboux
+
+        calls = []
+
+        def counting(e, g):
+            calls.append(str(e))
+            return evaluate_on_grid(e, g)
+
+        monkeypatch.setattr(darboux, "evaluate_on_grid", counting)
+        v0 = const(grid10, 0.0)
+        h4 = parse("(1+r)^4")
+        seed = seed_from_expression("1", grid10, gamma_sq=0.0, V0=v0, h=field_of("(1+r)^4", grid10))
+        t = darboux_transform(seed, h4, v0)
+        assert calls == [str(h4)]
+        assert np.array_equal(t.new_potential.values, darboux_potential(seed, h4, v0).values)
+
+    def test_nonpositive_weight_is_a_domain_error(self, grid10):
+        v0, h1 = unit_problem(grid10)
+        seed = seed_from_expression("cosh(r)", grid10, gamma_sq=-1.0, V0=v0, h=h1)
+        with pytest.raises(DomainError) as exc:
+            darboux_potential(seed, parse("r - 5"), v0)
+        assert exc.value.node == 0
 
     def test_interior_node_rejected(self, grid10):
         v0, h1 = unit_problem(grid10)

@@ -1,6 +1,8 @@
-"""Expression parsing, evaluation, and symbolic differentiation."""
+"""Expression parsing, evaluation, symbolic differentiation and Taylor jets."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from solvforge import (
     evaluate_on_grid,
     parse,
 )
+from solvforge.expr import Add, Div, Mul, Neg, Num, Pow, Sub, Var
 
 FUNCS = ["exp", "log", "sin", "cos", "sinh", "cosh", "tanh", "sech", "sqrt"]
 
@@ -265,3 +268,157 @@ def test_exprs_compose_with_scalars():
     s = 1.0 / call("sqrt", h)
     assert s.evaluate(1.0) == pytest.approx(0.25, rel=1e-14)
     assert (2 * parse("r") - 1).evaluate(3.0) == 5.0
+
+
+# ---------------------------------------------------------------------------
+# Taylor jets against the symbolic route
+
+#: per-order bound on |jet - symbolic| relative to 1 + sup|symbolic|
+JET_TOL = 1e-13
+
+
+def _magnitude(node, r):
+    """Size of the terms that make up node's value: every sum and product
+    taken over absolute values, so that |value| << magnitude flags
+    cancellation.  Rounding in any evaluation of node is ~eps * magnitude."""
+    if isinstance(node, Num):
+        return abs(node.value)
+    if isinstance(node, Var):
+        return np.abs(r)
+    if isinstance(node, (Add, Sub)):
+        return _magnitude(node.a, r) + _magnitude(node.b, r)
+    if isinstance(node, Mul):
+        return _magnitude(node.a, r) * _magnitude(node.b, r)
+    if isinstance(node, Div):
+        return _magnitude(node.a, r) / np.abs(node.b.eval(r))
+    if isinstance(node, Neg):
+        return _magnitude(node.a, r)
+    k = node._integer_exponent() if isinstance(node, Pow) else None
+    if k is not None and k > 0:
+        return _magnitude(node.base, r) ** k
+    return np.abs(node.eval(r))
+
+
+def _symbolic_jet(e: AnalyticExpr, pts, order: int = 3):
+    """Rows e, e', ..., e^(order) from evaluated derivative trees, and the
+    magnitude of each row's terms."""
+    rows, mags = [], []
+    for _ in range(order + 1):
+        rows.append(e.evaluate(pts))
+        with np.errstate(all="ignore"):
+            mags.append(np.max(_magnitude(e.root, np.asarray(pts, dtype=float))))
+        e = e.derivative()
+    return np.array(rows), mags
+
+
+def _check_jet(e: AnalyticExpr, pts) -> None:
+    """Row 0 is evaluate() bit for bit (or fails the same way), and rows
+    0-3 match the symbolic route wherever that route is defined.
+
+    The bound is JET_TOL (1 + sup|symbolic|).  Where a row's terms cancel by
+    more than two digits (magnitude > 100 (1 + sup|symbolic|)), the symbolic
+    reference itself is only good to ~eps * magnitude, and the bound is taken
+    relative to 1 + magnitude instead.
+    """
+    try:
+        value = e.evaluate(pts)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            e.jet(pts, 0)
+        assert (str(got.value), got.value.node) == (str(exc), exc.node)
+        return
+    assert e.jet(pts, 0)[0].view(np.uint64).tolist() == value.view(np.uint64).tolist()
+    try:
+        sym, mags = _symbolic_jet(e, pts)
+    except DomainError:
+        return
+    jet = e.jet(pts, 3)
+    assert jet.shape == sym.shape
+    for k in range(4):
+        scale = 1.0 + np.max(np.abs(sym[k]))
+        if mags[k] > 100.0 * scale:
+            scale = 1.0 + mags[k]
+        assert np.max(np.abs(jet[k] - sym[k])) <= JET_TOL * scale, (str(e), k)
+
+
+@given(random_exprs)
+@settings(max_examples=200, deadline=None)
+def test_jet_matches_symbolic_on_random_exprs(e: AnalyticExpr):
+    _check_jet(e, np.linspace(0.13, 2.9, 17))
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_jet_matches_symbolic_on_c8_exprs(seed):
+    from test_acceptance import _random_expression
+
+    rng = np.random.default_rng(seed)
+    e = _random_expression(rng, 3)
+    _check_jet(e, rng.uniform(0.25, 2.75, 100))
+
+
+def _shipped_exprs():
+    for path in sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.json")):
+        cfg = json.loads(path.read_text())
+        g = cfg["grid"]
+        v0 = cfg["base"]["V0"]
+        for text in [cfg["base"]["h"], *(v0 if isinstance(v0, list) else [v0])]:
+            yield pytest.param(text, RadialGrid(g["a"], g["b"], g["n"]), id=f"{path.stem}:{text}")
+
+
+@pytest.mark.parametrize("text,grid", list(_shipped_exprs()))
+def test_jet_matches_symbolic_on_shipped_exprs(text, grid):
+    e = parse(text)
+    sym, _ = _symbolic_jet(e, grid.r)
+    jet = e.jet(grid.r, 3)
+    assert jet[0].view(np.uint64).tolist() == sym[0].view(np.uint64).tolist()
+    for k in range(4):
+        assert np.max(np.abs(jet[k] - sym[k])) <= JET_TOL * (1.0 + np.max(np.abs(sym[k])))
+
+
+class TestJetDomain:
+    def test_sqrt_at_zero_has_no_derivative(self):
+        g = RadialGrid(0.0, 1.0, 11)
+        assert parse("sqrt(r)").jet(g.r, 0)[0][0] == 0.0
+        for order in (1, 2, 3):
+            with pytest.raises(DomainError) as exc:
+                parse("sqrt(r)").jet(g.r, order)
+            assert exc.value.node == 0
+
+    def test_log_reports_node(self):
+        g = RadialGrid(0.0, 3.0, 31)
+        with pytest.raises(DomainError) as exc:
+            parse("log(r - 2)").jet(g.r, 2)
+        assert exc.value.node == 0
+
+    def test_overflow_reports_node(self):
+        g = RadialGrid(0.0, 40.0, 41)
+        with pytest.raises(DomainError) as exc:
+            parse("exp(r^2)").jet(g.r, 3)
+        assert exc.value.node is not None
+
+    def test_derivative_overflow_reports_node(self):
+        # exp(700) ~ 1e304 and 700 exp(700) stay finite; 700^2 exp(700) does not
+        g = RadialGrid(0.5, 1.0, 6)
+        assert np.all(np.isfinite(parse("exp(700*r)").jet(g.r, 1)))
+        with pytest.raises(DomainError) as exc:
+            parse("exp(700*r)").jet(g.r, 2)
+        assert exc.value.node == 5
+
+    def test_square_at_zero_is_exact(self):
+        jet = parse("r^2").jet(np.array([0.0, 1.0]), 3)
+        assert jet.tolist() == [[0.0, 1.0], [0.0, 2.0], [2.0, 2.0], [0.0, 0.0]]
+
+    def test_integer_power_of_negative_base(self):
+        jet = parse("(r - 2)^3").jet(0.0, 3)
+        assert jet.tolist() == [-8.0, 12.0, -12.0, 6.0]
+
+    def test_division_by_zero(self):
+        with pytest.raises(DomainError) as exc:
+            parse("1/(r - 1)").jet(np.linspace(0.0, 2.0, 5), 1)
+        assert exc.value.node == 2
+
+    def test_scalar_and_order_zero(self):
+        assert parse("exp(r)").jet(0.0, 0).tolist() == [1.0]
+        with pytest.raises(ValueError):
+            parse("r").jet(0.0, -1)
