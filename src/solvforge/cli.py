@@ -146,13 +146,12 @@ def _read_csv(path: str, expected_header: list[str]) -> dict[str, np.ndarray]:
     except ValueError as exc:
         if header_line is None:  # open() refused the path (an embedded NUL)
             raise ConfigError(f"cannot read {path!r}: {exc}") from exc
-        raise ConfigError(_located(path, header_line, str(exc))) from exc
+        raise ConfigError(_located(path, str(exc))) from exc
     if data.size == 0:
         raise ConfigError(f"{path} has a header but no data rows")
     if data.shape[1] != len(expected_header):
         raise ConfigError(
-            f"{_where(path, header_line, 0)}: "
-            f"expected {len(expected_header)} columns, got {data.shape[1]}"
+            f"{_where(path, 0)}: expected {len(expected_header)} columns, got {data.shape[1]}"
         )
     return {name: data[:, j] for j, name in enumerate(expected_header)}
 
@@ -163,7 +162,7 @@ _BAD_CELL = re.compile(r" at row (\d+), column (\d+)\.?$")
 _COLUMNS_CHANGED = re.compile(r" at row (\d+)$")
 
 
-def _located(path: str, header_line: int, message: str) -> str:
+def _located(path: str, message: str) -> str:
     """numpy's error message for the rows after the header, as path:line."""
     reason = message.split(";")[0]  # less numpy's advice on `usecols`
     m = _BAD_CELL.search(reason)
@@ -174,19 +173,38 @@ def _located(path: str, header_line: int, message: str) -> str:
         if m is None:
             return f"{path}, in the rows after the header: {reason}"
         row, reason = int(m.group(1)) - 1, reason[:m.start()]
-    return f"{_where(path, header_line, row)}: {reason}"
+    return f"{_where(path, row)}: {reason}"
 
 
-def _where(path: str, header_line: int, row: int) -> str:
-    """path:line of data row `row` (from 0), skipping empty lines as numpy does.
-    Bytes past the point numpy reached may not decode; they cannot move a line."""
+def _where(path: str, row: int) -> str:
+    """path:line of data row `row` (from 0): the rows after the header, the
+    first non-blank line, skipping empty lines as numpy does.  Bytes past the
+    point numpy reached may not decode; they cannot move a line."""
     with open(path, encoding="utf-8", errors="replace") as fh:
-        for number, line in enumerate(fh, 1):
-            if number > header_line and line.rstrip("\n"):
+        lines = enumerate(fh, 1)
+        for _, line in lines:
+            if line.strip():
+                break
+        for number, line in lines:
+            if line.rstrip("\n"):
                 if row == 0:
                     return f"{path}:{number}"
                 row -= 1
     return f"{path}, in the rows after the header"
+
+
+def _read_samples(path: str, expected_header: list[str]) -> dict[str, np.ndarray]:
+    """The columns of an exported CSV that `forge verify` can check: every
+    cell finite and r increasing from row to row."""
+    columns = _read_csv(path, expected_header)
+    for name, col in columns.items():
+        bad = np.flatnonzero(~np.isfinite(col))
+        if bad.size:
+            raise ConfigError(f"{_where(path, int(bad[0]))}: {name} is not finite")
+    stall = np.flatnonzero(np.diff(columns["r"]) <= 0.0)
+    if stall.size:
+        raise ConfigError(f"{_where(path, int(stall[0]) + 1)}: r does not increase")
+    return columns
 
 
 # ---------------------------------------------------------------------------
@@ -525,8 +543,8 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     tol = _tolerance(vars(args), "tol", "--tol")
     gamma_sq = _number(args.gamma_sq, "--gamma-sq")
-    pot = _read_csv(args.potential, ["r", "V"])
-    sol = _read_csv(args.solution, ["r", "phi", "dphi"])
+    pot = _read_samples(args.potential, ["r", "V"])
+    sol = _read_samples(args.solution, ["r", "phi", "dphi"])
     if pot["r"].shape != sol["r"].shape:
         raise ConfigError(
             f"grid mismatch: potential has {pot['r'].size} rows, solution {sol['r'].size}"
@@ -536,14 +554,21 @@ def cmd_verify(args) -> int:
     r = pot["r"]
     if r.size < 7:
         raise ConfigError("need at least 7 rows")
-    step = (r[-1] - r[0]) / (r.size - 1)
-    if np.max(np.abs(r - (r[0] + step * np.arange(r.size)))) > 1e-9 * max(1.0, abs(r[-1])):
+    with np.errstate(over="ignore", invalid="ignore"):
+        step = (r[-1] - r[0]) / (r.size - 1)
+        deviation = np.max(np.abs(r - (r[0] + step * np.arange(r.size))))
+        dV = np.gradient(pot["V"], step)
+    # `not <=` also rejects the nan of an overflowed step
+    if not deviation <= 1e-9 * max(1.0, abs(r[-1])):
         raise ConfigError("grid is not uniform")
     grid = RadialGrid(float(r[0]), float(r[-1]), int(r.size))
+    bad = np.flatnonzero(~np.isfinite(dV))
+    if bad.size:
+        raise ConfigError(f"{_where(args.potential, int(bad[0]))}: the finite-difference V' overflows")
 
     h_expr = _parse_expr(args.h, "--h")
     hf = evaluate_on_grid(h_expr, grid)
-    vf = SampledField(grid, pot["V"], np.gradient(pot["V"], grid.step))
+    vf = SampledField(grid, pot["V"], dV)
     phi = Solution(
         gamma_sq,
         SampledField(grid, sol["phi"], sol["dphi"]),

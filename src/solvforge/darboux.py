@@ -9,16 +9,20 @@ and maps any base solution phi0 at gamma^2 to
 
     phi = W{y, phi0} / (sqrt(h) y).
 
+Every single-channel potential here has the form
+V0 - 2 sqrt(h) d/dr[(1/sqrt(h)) d/dr ln F], assembled once by
+`log_det_potential`.  The Darboux step is the case F = y plus the weight
+term w = sqrt(h) d^2/dr^2 (1/sqrt(h)) and its derivative w'.
+
 All derivatives are evaluated in closed form: the weight h is analytic, the
-log-derivative u = y'/y comes from the carried channels, and u' = (V0 -
-g'^2 h) - u^2 follows from the equation itself, so no finite differencing
+log-derivative t = y'/y comes from the carried channels, and t' = (V0 -
+g'^2 h) - t^2 follows from the equation itself, so no finite differencing
 enters the construction.  The Wronskian derivative uses
 dW/dr = h (g'^2 - gamma^2) y phi0.
 
 The second chain step combines the inverted seed with the prefix integral
 P(r) = 1 + C * int h y^2; the first-step terms cancel and the chained
-potential collapses to V0 - 2 sqrt(h) d/dr[(1/sqrt(h)) d/dr ln P], with the
-solution map
+potential collapses to the case F = P, with the solution map
 
     phi = phi0 - C y W{y, phi0} / (P (g'^2 - gamma^2)).
 """
@@ -39,7 +43,7 @@ from .errors import (
     SingularSeedError,
 )
 from .expr import AnalyticExpr, evaluate_on_grid
-from .grid import Direction, RadialGrid, SampledField, signed_prefix
+from .grid import Direction, SampledField, signed_prefix
 from .solver import CustomBC, JostAtRight, RegularAtLeft, Solution
 
 __all__ = [
@@ -55,26 +59,18 @@ __all__ = [
 EPS_NODE = 1e-10
 
 
-def _as_field(h: AnalyticExpr | SampledField, grid: RadialGrid) -> SampledField:
-    if isinstance(h, SampledField):
-        if h.grid != grid:
-            raise GridMismatchError("weight sampled on a different grid")
-        return h
-    return evaluate_on_grid(h, grid)
-
-
 def _check_domain(bad: np.ndarray, message: str) -> None:
     if np.any(bad):
         raise DomainError(message, int(np.flatnonzero(bad)[0]))
 
 
-def _seed_zero_masks(y: np.ndarray, eps: float) -> np.ndarray:
+def _seed_zero_masks(y: np.ndarray) -> np.ndarray:
     """Mask of near-zero seed entries; interior zeros or sign changes are fatal.
 
     Endpoint zeros are tolerated (regular seeds vanish at the origin); the
     returned boolean mask marks them so callers can patch those nodes.
     """
-    small = np.abs(y) < eps
+    small = np.abs(y) < EPS_NODE
     if np.any(small[1:-1]):
         raise SingularSeedError(int(np.flatnonzero(small[1:-1])[0]) + 1)
     sign_change = y[:-1] * y[1:] < 0.0
@@ -90,13 +86,20 @@ def _extrapolate(vals: np.ndarray, idx: int) -> float:
     return 3.0 * vals[-2] - 3.0 * vals[-3] + vals[-4]
 
 
-def darboux_potential(
-    seed: Solution,
-    h: AnalyticExpr,
-    V0: SampledField,
-    *,
-    eps_node: float = EPS_NODE,
-) -> SampledField:
+def log_det_potential(V0: SampledField, hf: SampledField, hdd, t, td, tdd) -> SampledField:
+    """V = V0 - 2 sqrt(h) d/dr[(1/sqrt(h)) t] = V0 + (h'/h) t - 2 t', with its
+    derivative channel, for t = (ln F)' of the transform's factor F (y for
+    the Darboux step, which adds the weight term, P for the chain, det P for
+    a seed set); hdd is h'' and td, tdd are t', t''."""
+    hv, hd = hf.values, hf.derivs
+    ratio = hd / hv
+    v = V0.values + ratio * t - 2.0 * td
+    ratio_d = hdd / hv - ratio * ratio
+    vd = V0.derivs + ratio_d * t + ratio * td - 2.0 * tdd
+    return SampledField(V0.grid, v, vd)
+
+
+def darboux_potential(seed: Solution, h: AnalyticExpr, V0: SampledField) -> SampledField:
     """Transformed potential from one Darboux step.
 
     The seed must be nodeless on the open interval; a zero at an endpoint is
@@ -107,53 +110,34 @@ def darboux_potential(
     grid = V0.grid
     if seed.grid != grid:
         raise GridMismatchError("seed and base potential live on different grids")
-    # h to h''' from one jet, then s = 1/sqrt(h) to s''' by the chain rule
-    # in q_k = h^(k)/h
+    # h to h''' from one jet; the weight term w = sqrt(h) (1/sqrt(h))'' and
+    # its derivative are polynomials in q_k = h^(k)/h
     hj = h.jet(grid.r, 3)
     _check_domain(~(hj[0] > 0.0), "1/sqrt(h) needs a positive weight")
     hv, hd = hj[0], hj[1]
-    rt = np.sqrt(hv)
     with np.errstate(over="ignore", invalid="ignore"):
         q1, q2, q3 = hj[1:] / hv
-        s = 1.0 / rt
-        s1 = -0.5 * s * q1
-        s2 = s * (0.75 * q1 * q1 - 0.5 * q2)
-        s3 = s * (-1.875 * q1 * q1 * q1 + 2.25 * q1 * q2 - 0.5 * q3)
-    finite = np.isfinite(s1) & np.isfinite(s2) & np.isfinite(s3)
-    _check_domain(~finite, "non-finite derivative of 1/sqrt(h)")
+        w = 0.75 * q1 * q1 - 0.5 * q2
+        wd = q1 * (2.0 * q2 - 1.5 * q1 * q1) - 0.5 * q3
+    _check_domain(~(np.isfinite(w) & np.isfinite(wd)), "non-finite derivative of 1/sqrt(h)")
 
     y, yd = seed.values, seed.derivs
-    patch = _seed_zero_masks(y, eps_node)
-    y_safe = np.where(patch, 1.0, y)
+    patch = _seed_zero_masks(y)
+    # t = (ln y)', with t' and t'' from the governing equation
+    t = yd / np.where(patch, 1.0, y)
+    td = (V0.values - seed.gamma_sq * hv) - t * t
+    tdd = (V0.derivs - seed.gamma_sq * hd) - 2.0 * t * td
+    log_part = log_det_potential(V0, SampledField(grid, hv, hd), hj[2], t, td, tdd)
 
-    rtd = hd / (2.0 * rt)
-    u = yd / y_safe
-    A = V0.values - seed.gamma_sq * hv
-    Ad = V0.derivs - seed.gamma_sq * hd
-    up = A - u * u  # u' from the governing equation
-
-    bracket = s1 * u + s * up
-    bracket_d = s2 * u + s1 * up + s1 * up + s * (Ad - 2.0 * u * up)
-
-    v = V0.values - 2.0 * rt * bracket + rt * s2
-    vd = V0.derivs - 2.0 * (rtd * bracket + rt * bracket_d) + rtd * s2 + rt * s3
-
-    if np.any(patch):
-        v = v.copy()
-        vd = vd.copy()
-        for idx in np.flatnonzero(patch):
-            v[idx] = _extrapolate(v, idx)
-            vd[idx] = _extrapolate(vd, idx)
+    v = log_part.values + w
+    vd = log_part.derivs + wd
+    for idx in np.flatnonzero(patch):
+        v[idx] = _extrapolate(v, idx)
+        vd[idx] = _extrapolate(vd, idx)
     return SampledField(grid, v, vd)
 
 
-def darboux_solution(
-    seed: Solution,
-    h: AnalyticExpr | SampledField,
-    phi0: Solution,
-    *,
-    eps_node: float = EPS_NODE,
-) -> Solution:
+def darboux_solution(seed: Solution, h: SampledField, phi0: Solution) -> Solution:
     """Map a base solution through the Darboux step: W{y, phi0} / (sqrt(h) y).
 
     The derivative channel is assembled from dW/dr = h (g'^2 - gamma^2) y phi0,
@@ -164,26 +148,25 @@ def darboux_solution(
     grid = phi0.grid
     if seed.grid != grid:
         raise GridMismatchError("seed and solution live on different grids")
-    hf = _as_field(h, grid)
+    if h.grid != grid:
+        raise GridMismatchError("weight sampled on a different grid")
 
     y, yd = seed.values, seed.derivs
     p, pd = phi0.values, phi0.derivs
-    patch = _seed_zero_masks(y, eps_node)
+    patch = _seed_zero_masks(y)
     y_safe = np.where(patch, 1.0, y)
 
     w = y * pd - yd * p
-    wd = hf.values * (seed.gamma_sq - phi0.gamma_sq) * y * p
+    wd = h.values * (seed.gamma_sq - phi0.gamma_sq) * y * p
 
-    rt = np.sqrt(hf.values)
+    rt = np.sqrt(h.values)
     den = rt * y_safe
-    dend = hf.derivs / (2.0 * rt) * y_safe + rt * yd
+    dend = h.derivs / (2.0 * rt) * y_safe + rt * yd
 
     out = w / den
     outd = (wd * den - w * dend) / (den * den)
 
     if np.any(patch):
-        out = out.copy()
-        outd = outd.copy()
         w_scale = float(np.max(np.abs(w))) + 1.0
         for idx in np.flatnonzero(patch):
             if abs(w[idx]) > 1e-8 * w_scale:
@@ -212,11 +195,10 @@ class DarbouxTransform:
 
 
 def darboux_transform(seed: Solution, h: AnalyticExpr, V0: SampledField) -> DarbouxTransform:
-    grid = V0.grid
     return DarbouxTransform(
         seed=seed,
         h=h,
-        h_field=_as_field(h, grid),
+        h_field=evaluate_on_grid(h, V0.grid),
         base_potential=V0,
         new_potential=darboux_potential(seed, h, V0),
     )
@@ -229,18 +211,6 @@ def _check_direction(bc, direction: Direction) -> None:
         raise DirectionMismatchError(
             "decaying (Jost-type) solutions pair with the from-right integral"
         )
-
-
-def log_det_potential(V0: SampledField, hf: SampledField, hdd, t, td, tdd) -> SampledField:
-    """V = V0 - 2 sqrt(h) d/dr[(1/sqrt(h)) t] = V0 + (h'/h) t - 2 t', with its
-    derivative channel, for t = (ln F)' of the transform's factor F (P for
-    the chain, det P for a seed set); hdd is h'' and td, tdd are t', t''."""
-    hv, hd = hf.values, hf.derivs
-    ratio = hd / hv
-    v = V0.values + ratio * t - 2.0 * td
-    ratio_d = hdd / hv - ratio * ratio
-    vd = V0.derivs + ratio_d * t + ratio * td - 2.0 * tdd
-    return SampledField(V0.grid, v, vd)
 
 
 def chain_second_step(

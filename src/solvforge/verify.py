@@ -138,18 +138,13 @@ def matrix_residual(
 
     # the coupling sum runs over k in order, from zero
     coupling = sum(v[:, :, k, None] * phi[:, None, k, :] for k in range(n_rows))
-    d2 = (
-        -phi[:-4] + 16.0 * phi[1:-3] - 30.0 * phi[2:-2] + 16.0 * phi[3:-1] - phi[4:]
-    ) / (12.0 * g.step * g.step)
     rhs = gam[:, None] * h.values[:, None, None] * phi
-    defect = -d2 + coupling[2:-2] - rhs[2:-2]
+    defect = -_second_derivative(phi, g.step) + coupling[2:-2] - rhs[2:-2]
 
     scale = float(np.max(np.abs(rhs))) + 1.0
+    # the worst entry at each node
     per_node = np.abs(defect).reshape(defect.shape[0], -1).max(axis=1)
-    worst = int(np.argmax(per_node))
-    max_abs = float(per_node[worst])
-    max_rel = max_abs / scale
-    return ResidualReport(max_abs, max_rel, worst + 2, tol, max_rel <= tol)
+    return _report(per_node, scale, tol, offset=2)
 
 
 def check_wronskian_integral(

@@ -57,10 +57,27 @@ def _read_csv_columns(path):
     return header, data
 
 
+def _with_cell(line, column, text):
+    """Edit of a CSV's lines: the cell in `column` of file line `line` set to `text`."""
+    def edit(lines):
+        cells = lines[line - 1].rstrip(b"\n").split(b",")
+        cells[column] = text
+        return [*lines[:line - 1], b",".join(cells) + b"\n", *lines[line:]]
+    return edit
+
+
+def _constant_r(lines):
+    first = lines[1].split(b",")[0]
+    return [lines[0], *(first + line[line.index(b","):] for line in lines[1:])]
+
+
 # Edits of an exported CSV's lines that fall outside the documented format.
-# float() accepts every cell of the last three; the reader rejects them because
-# `_csv` never writes them.
-_CSV_EDITS = {  # edit of a potential CSV's lines, and the file line the error names
+# float() accepts every cell of underscore-digits, whitespace-only-line and
+# non-ascii-digit; the reader rejects them because `_csv` never writes them.
+# The cases from r-decreasing on hold numbers the reader accepts but that are
+# no grid (r must increase) or no sample (every cell, and V's difference
+# quotient, must be finite).
+_CSV_EDITS = {  # edit of a CSV's lines, and the file line the error names
     "header-only": (lambda lines: lines[:1], None),
     "not-utf8": (lambda lines: [lines[0], b"\xff" + lines[1][1:], *lines[2:]], None),
     "underscore-digits": (
@@ -75,6 +92,24 @@ _CSV_EDITS = {  # edit of a potential CSV's lines, and the file line the error n
         lambda lines: [b"\n", b" \n", *lines[:2], b"\n", b"0.1,x\n", *lines[3:]],
         6,
     ),
+    "r-decreasing": (lambda lines: [lines[0], *reversed(lines[1:])], 3),
+    "r-constant": (_constant_r, 3),
+    "r-nan": (_with_cell(4, 0, b"nan"), 4),
+    "r-inf-at-end": (_with_cell(5002, 0, b"inf"), 5002),  # the last line of a 5001-row export
+    "V-nan": (_with_cell(3, 1, b"nan"), 3),
+    "V-inf": (_with_cell(5, 1, b"-inf"), 5),
+    "V-overflows-its-difference": (_with_cell(3, 1, b"1.7e308"), 2),
+    "phi-nan": (_with_cell(3, 1, b"nan"), 3),
+    "dphi-inf": (_with_cell(6, 2, b"inf"), 6),
+}
+# the files a case edits, where not the potential CSV alone; the error names
+# the first of them
+_CSV_EDITED_FILES = {
+    "r-decreasing": ("potential", "solution"),
+    "r-constant": ("potential", "solution"),
+    "r-inf-at-end": ("potential", "solution"),
+    "phi-nan": ("solution",),
+    "dphi-inf": ("solution",),
 }
 
 
@@ -384,13 +419,20 @@ class TestVerifySubcommand:
                    "--h", "1", "--gamma-sq", "1.0"])
         assert rc == 2
 
-    @pytest.mark.parametrize("edit,line", list(_CSV_EDITS.values()), ids=list(_CSV_EDITS))
-    def test_malformed_csv_exits_2_cleanly(self, exported, tmp_path, capsys, edit, line):
+    @pytest.mark.parametrize("case", list(_CSV_EDITS))
+    def test_malformed_csv_exits_2_cleanly(self, exported, tmp_path, capsys, case):
         out, _ = exported
-        bad = tmp_path / "bad.csv"
-        bad.write_bytes(b"".join(edit((out / "well_potential.csv").read_bytes().splitlines(keepends=True))))
+        edit, line = _CSV_EDITS[case]
+        paths = {"potential": out / "well_potential.csv", "solution": out / "well_solution_000.csv"}
+        edited = _CSV_EDITED_FILES.get(case, ("potential",))
+        for name in edited:
+            lines = paths[name].read_bytes().splitlines(keepends=True)
+            paths[name] = tmp_path / f"bad_{name}.csv"
+            paths[name].write_bytes(b"".join(edit(lines)))
+        bad = paths[edited[0]]
+        before = sorted(p.name for p in tmp_path.rglob("*"))
         capsys.readouterr()
-        rc = main(["verify", str(bad), str(out / "well_solution_000.csv"),
+        rc = main(["verify", str(paths["potential"]), str(paths["solution"]),
                    "--h", "1", "--gamma-sq", "1.0"])
         assert rc == 2
         captured = capsys.readouterr()
@@ -398,6 +440,7 @@ class TestVerifySubcommand:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         if line is not None:
             assert captured.err.startswith(f"error: {bad}:{line}: ")
+        assert sorted(p.name for p in tmp_path.rglob("*")) == before
 
     def test_unopenable_path_exits_2_cleanly(self, exported, capsys):
         out, _ = exported

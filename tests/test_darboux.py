@@ -76,7 +76,8 @@ class TestPotential:
         assert np.max(np.abs(v.derivs[2:-2] - fd4(v.values, grid10.step))) < 1e-9
 
     def test_weighted_derivative_channel_matches_finite_difference(self, grid10):
-        # a non-constant weight exercises s = 1/sqrt(h) up to its third derivative
+        # a non-constant weight exercises the weight term sqrt(h) (1/sqrt(h))''
+        # and its derivative, built from h up to h'''
         v0 = field_of("-2/(1+r)^2", grid10)
         h = parse("1 + exp(-r)")
         seed = solve(v0, evaluate_on_grid(h, grid10), -2.0, CustomBC(1.0, 0.3, "left"))
@@ -236,6 +237,36 @@ class TestChain:
         g, v0, he, h, seed, first, (v2, smap) = self._setup(c=0.8)
         out = smap(solve(v0, h, 1.7, REGULAR_AT_LEFT))
         assert np.max(np.abs(out.derivs[2:-2] - fd4(out.values, g.step))) < 1e-9
+
+    def test_two_darboux_steps_equal_the_chain(self):
+        # the second step is a Darboux step of the transformed problem with the
+        # inverted seed P / (sqrt(h) y), P = 1 + C int h y^2, at the same g'^2
+        g = RadialGrid(0.0, 6.0, 6001)
+        v0 = field_of("-2/(1+r)^2", g)
+        he = parse("1 + exp(-r)")
+        h = evaluate_on_grid(he, g)
+        c = 0.8
+        seed = solve(v0, h, -1.0, CustomBC(1.0, 0.3, "left"))
+        first = darboux_transform(seed, he, v0)
+        v2, _ = chain_second_step(first, c, Direction.FROM_LEFT)
+
+        y, yd = seed.values, seed.derivs
+        p = 1.0 + c * signed_prefix(h * seed.field * seed.field, Direction.FROM_LEFT).values
+        pd = c * h.values * y * y
+        rt = np.sqrt(h.values)
+        den = rt * y
+        dend = h.derivs / (2.0 * rt) * y + rt * yd
+        inverted = Solution(
+            -1.0, type(v0)(g, p / den, (pd * den - p * dend) / (den * den)), CustomBC(1.0, 0.0, "left")
+        )
+        assert residual(first.new_potential, h, inverted).passed
+
+        twice = darboux_potential(inverted, he, first.new_potential)
+        for got, want, base in (
+            (twice.values, v2.values, v0.values),
+            (twice.derivs, v2.derivs, v0.derivs),
+        ):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want - base))
 
     def test_too_negative_coupling_is_singular(self):
         g = RadialGrid(0.0, 2.0, 2001)
