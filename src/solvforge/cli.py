@@ -14,11 +14,19 @@ Artifacts are written atomically (temp file, then rename) after the whole
 job has been computed, so error paths leave no partial files.  Identical
 configs produce byte-identical outputs; CSV numbers carry 17 significant
 digits and the report echoes the config together with its SHA-256.
+
+A run renders its grid's r column once and reuses it as the first column of
+every CSV.  Where `os.fork` exists (POSIX) and a run writes two or more CSVs,
+a forked child renders and writes about half of the cells while this process
+writes the rest; elsewhere one process writes them all through the same loop.
+Either way every file holds the same bytes, and a failed write in either
+process exits 2 with one `error:` line and leaves no temp file.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
 import json
@@ -92,23 +100,124 @@ _STRUCTURAL_ERRORS = (
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write `text` to `path` through a temp file and a rename; a failure
+    removes the temp file and raises ConfigError naming `path`."""
     # a per-process temp name: concurrent runs into one directory, or a stale
     # leftover, never share the file that is renamed into place
     tmp = f"{path}.{os.getpid()}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # CSV schemas
 
 
-def _csv(header: list[str], columns: list[np.ndarray]) -> str:
-    """CSV text: the header line, then one row per grid node with every
-    number printed to 17 significant digits."""
-    row = ",".join(["{:.17g}"] * len(columns)) + "\n"
-    return ",".join(header) + "\n" + "".join(map(row.format, *(c.tolist() for c in columns)))
+def _cells(values: np.ndarray) -> list[str]:
+    """A column as CSV cells: every number to 17 significant digits."""
+    return list(map("{:.17g}".format, values.tolist()))
+
+
+def _csv(header: list[str], first: list[str], columns: list[np.ndarray]) -> str:
+    """CSV text: the header line, then one row per grid node: the cell of
+    `first` (rendered by `_cells`), then every column's number to 17
+    significant digits."""
+    row = "{}" + ",{:.17g}" * len(columns) + "\n"
+    return ",".join(header) + "\n" + "".join(map(row.format, first, *(c.tolist() for c in columns)))
+
+
+# A CSV artifact: its path, its header, and its columns after r
+_Table = tuple[str, list[str], list[np.ndarray]]
+
+
+def _write_csvs(tables: list[_Table], r: np.ndarray) -> None:
+    """Write every table as CSV, r rendered once and shared by all.
+
+    With two or more tables and `os.fork`, a forked child renders and writes
+    about half of the cells (`_halves`) while this process writes the rest.
+    A failed write raises the ConfigError of the first failing table in
+    `tables` order, whichever process wrote it.
+    """
+    r_cells = _cells(r)
+    numbered = list(enumerate(tables))
+    if len(numbered) > 1 and hasattr(os, "fork"):
+        failures = _write_in_two_processes(*_halves(numbered), r_cells)
+    else:
+        failures = [_write_in_order(numbered, r_cells)]
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise ConfigError(min(failures)[1])
+
+
+def _halves(numbered: list[tuple[int, _Table]]) -> tuple[list, list]:
+    """(index, table) pairs split into two lists of about equal cell counts,
+    largest table first, each to the lighter list; each list in index order.
+    The tables of one run share the grid, so cells go as columns."""
+    halves: tuple[list, list] = ([], [])
+    load = [0, 0]
+    for item in sorted(numbered, key=lambda item: -len(item[1][2])):
+        lighter = int(load[1] < load[0])
+        halves[lighter].append(item)
+        load[lighter] += len(item[1][2])
+    return tuple(sorted(half, key=lambda item: item[0]) for half in halves)
+
+
+def _write_in_order(numbered: list[tuple[int, _Table]], r_cells: list[str]) -> tuple[int, str] | None:
+    """Render and write (index, table) pairs in order; the index and message
+    of the first failed write, or None."""
+    for k, (path, header, columns) in numbered:
+        try:
+            _atomic_write(path, _csv(header, r_cells, columns))
+        except ConfigError as exc:
+            return k, str(exc)
+    return None
+
+
+def _write_in_two_processes(mine: list, theirs: list, r_cells: list[str]) -> list:
+    """`_write_in_order` over `mine` here and over `theirs` in a forked
+    child; the outcome of each.  The child reports a failed write through a
+    pipe and leaves through os._exit, so the caller's stack never resumes in
+    it and no inherited stdio buffer is flushed twice.  The child is always
+    reaped before this returns or raises."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: write everything here
+        os.close(rfd)
+        os.close(wfd)
+        return [_write_in_order(sorted(mine + theirs, key=lambda item: item[0]), r_cells)]
+    if pid == 0:
+        status = 1
+        try:
+            os.close(rfd)
+            with open(wfd, "wb") as reply:
+                failure = _write_in_order(theirs, r_cells)
+                if failure is not None:
+                    reply.write(f"{failure[0]} {failure[1]}".encode("utf-8", "surrogateescape"))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    try:
+        with open(rfd, "rb") as reply:
+            outcomes = [_write_in_order(mine, r_cells)]
+            message = reply.read().decode("utf-8", "surrogateescape")
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if message:
+        k, text = message.split(" ", 1)
+        outcomes.append((int(k), text))
+    elif status != 0:
+        k, (path, _, _) = theirs[0]
+        code = os.waitstatus_to_exitcode(status)
+        outcomes.append((k, f"cannot write {path}: the writing process ended with code {code}"))
+    return outcomes
 
 
 def _read_csv(path: str, expected_header: list[str]) -> dict[str, np.ndarray]:
@@ -362,6 +471,7 @@ def _sup(x: np.ndarray) -> float:
 class _Job(NamedTuple):
     """One constructed transform, in the shape the run pipeline consumes."""
 
+    # CSV columns come after the grid's r column, which cmd_run adds
     potential: tuple[list[str], list[np.ndarray]]  # CSV header and columns
     solution_header: list[str]
     # (record head, residual report, CSV columns or None) per seed-image check
@@ -417,7 +527,7 @@ def _single_channel(cfg, grid, direction, tol) -> _Job:
             return bargmann_solution(sset, pm, phi0), {}
 
     def checked(phi):
-        return verify_mod.residual(potential, hf, phi, tol=tol), [grid.r, phi.values, phi.derivs]
+        return verify_mod.residual(potential, hf, phi, tol=tol), [phi.values, phi.derivs]
 
     def evaluate(gamma_sq):
         phi, checks = transform(solve(v0f, hf, gamma_sq, bc_for(direction)))
@@ -425,7 +535,7 @@ def _single_channel(cfg, grid, direction, tol) -> _Job:
 
     seed_checks = [({"kind": "seed_image", "gamma_sq": y.gamma_sq}, *checked(y)) for y in images]
     return _Job(
-        (["r", "V"], [grid.r, potential.values]), ["r", "phi", "dphi"], seed_checks, evaluate, extras
+        (["r", "V"], [potential.values]), ["r", "phi", "dphi"], seed_checks, evaluate, extras
     )
 
 
@@ -463,11 +573,11 @@ def _multichannel(cfg, grid, direction, tol) -> _Job:
         rep = verify_mod.matrix_residual(vmat, cs.h_field, phi, gnew, tol=tol)
         # row-major entries, each as a (phi, dphi) column pair
         pairs = np.stack([phi.values, phi.derivs], axis=-1).reshape(grid.n, -1)
-        return rep, [grid.r, *pairs.T], {"forms_max_diff": gap}
+        return rep, [*pairs.T], {"forms_max_diff": gap}
 
     v = vmat.values
     return _Job(
-        (["r"] + [f"V_{ab}" for ab in labels], [grid.r, *v.reshape(grid.n, -1).T]),
+        (["r"] + [f"V_{ab}" for ab in labels], [*v.reshape(grid.n, -1).T]),
         ["r"] + [f"{name}_{ab}" for ab in labels for name in ("phi", "dphi")],
         [({"kind": "transformed_seed_vectors"}, seed_rep, None)],
         evaluate,
@@ -498,17 +608,17 @@ def cmd_run(args) -> int:
 
     build = _multichannel if mode == "multichannel" else _single_channel
     job = build(cfg, grid, direction, tol)
-    artifacts = {"potential": _csv(*job.potential)}
+    artifacts = {"potential": job.potential}
     residuals = []
     extras = dict(job.extras)
     for k, (head, rep, columns) in enumerate(job.seed_checks):
         residuals.append({**head, **rep.to_dict()})
         if columns is not None:
-            artifacts[f"seed_solution_{k:03d}"] = _csv(job.solution_header, columns)
+            artifacts[f"seed_solution_{k:03d}"] = (job.solution_header, columns)
     for k, gamma_sq in enumerate(gammas):
         rep, columns, checks = job.evaluate(gamma_sq)
         residuals.append({"kind": "transformed", "gamma_sq": gamma_sq, **rep.to_dict()})
-        artifacts[f"solution_{k:03d}"] = _csv(job.solution_header, columns)
+        artifacts[f"solution_{k:03d}"] = (job.solution_header, columns)
         for key, gap in checks.items():
             extras[key] = max(extras.get(key, 0.0), gap)
 
@@ -517,11 +627,8 @@ def cmd_run(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}") from exc
-    paths = {}
-    for name, text in artifacts.items():
-        path = os.path.join(out_dir, f"{prefix}_{name}.csv")
-        _atomic_write(path, text)
-        paths[name] = path
+    paths = {name: os.path.join(out_dir, f"{prefix}_{name}.csv") for name in artifacts}
+    _write_csvs([(paths[name], *table) for name, table in artifacts.items()], grid.r)
 
     report = {
         "tool": {"name": "solvforge", "version": __version__, "kernel": kernel_backend()},
@@ -535,7 +642,7 @@ def cmd_run(args) -> int:
         **extras,
     }
     report_path = os.path.join(out_dir, f"{prefix}_report.json")
-    _atomic_write(report_path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    _atomic_write(report_path, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
     print(report_path)
     return EXIT_OK if all_passed else EXIT_RESIDUAL
 
@@ -574,14 +681,20 @@ def cmd_verify(args) -> int:
         SampledField(grid, sol["phi"], sol["dphi"]),
         CustomBC(float(sol["phi"][0]), float(sol["dphi"][0]), "left"),
     )
-    rep = verify_mod.residual(vf, hf, phi, tol=tol)
-    print(json.dumps({"gamma_sq": gamma_sq, **rep.to_dict()}, indent=2, sort_keys=True))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = verify_mod.residual(vf, hf, phi, tol=tol)
+    if not np.isfinite(rep.max_abs):
+        raise ConfigError(f"{_where(args.solution, rep.argmax_node)}: the residual defect overflows")
+    print(json.dumps({"gamma_sq": gamma_sq, **rep.to_dict()}, indent=2, sort_keys=True, allow_nan=False))
     return EXIT_OK if rep.passed else EXIT_RESIDUAL
 
 
 def cmd_parse_check(args) -> int:
     e = parse(args.expr)
-    print(json.dumps({"ok": True, "canonical": str(e), "derivative": str(e.derivative())}, sort_keys=True))
+    print(json.dumps(
+        {"ok": True, "canonical": str(e), "derivative": str(e.derivative())},
+        sort_keys=True, allow_nan=False,
+    ))
     return EXIT_OK
 
 

@@ -78,6 +78,9 @@ def _second_derivative(values: np.ndarray, step: float) -> np.ndarray:
 
 def _report(defect: np.ndarray, scale: float, tol: float, offset: int) -> ResidualReport:
     k = int(np.argmax(np.abs(defect)))
+    if not np.isfinite(defect[k]):  # argmax finds nan or inf if there is any
+        # a defect that overflowed is reported at its first non-finite node
+        k = int(np.flatnonzero(~np.isfinite(defect))[0])
     max_abs = float(np.abs(defect[k]))
     max_rel = max_abs / scale
     return ResidualReport(max_abs, max_rel, k + offset, tol, max_rel <= tol)

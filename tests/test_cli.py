@@ -1,17 +1,24 @@
 """End-to-end CLI behaviour: jobs, exports, re-verification, exit codes."""
 
 import json
+import os
 import pathlib
 import re
+import shutil
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from solvforge.cli import _csv, _read_csv, main
+from solvforge import cli
+from solvforge.cli import _cells, _csv, _halves, _read_csv, main
 
-SHIPPED_CONFIGS = sorted((pathlib.Path(__file__).resolve().parent.parent / "configs").glob("*.json"))
+REPO = pathlib.Path(__file__).resolve().parent.parent
+SHIPPED_CONFIGS = sorted((REPO / "configs").glob("*.json"))
 
 
 def _write_config(path, cfg):
@@ -66,6 +73,16 @@ def _with_cell(line, column, text):
     return edit
 
 
+def _no_child_left():
+    """This process has no child process, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _temp_files(out):
+    return [p.name for p in out.rglob("*.tmp")]
+
+
 def _constant_r(lines):
     first = lines[1].split(b",")[0]
     return [lines[0], *(first + line[line.index(b","):] for line in lines[1:])]
@@ -101,6 +118,9 @@ _CSV_EDITS = {  # edit of a CSV's lines, and the file line the error names
     "V-overflows-its-difference": (_with_cell(3, 1, b"1.7e308"), 2),
     "phi-nan": (_with_cell(3, 1, b"nan"), 3),
     "dphi-inf": (_with_cell(6, 2, b"inf"), 6),
+    # finite cells whose FD4 defect overflows: the stencils of nodes 6 to 10
+    # (file lines 8 to 12) hold the edited node 8
+    "phi-overflows-the-residual": (_with_cell(10, 1, b"1.7e308"), 8),
 }
 # the files a case edits, where not the potential CSV alone; the error names
 # the first of them
@@ -110,6 +130,7 @@ _CSV_EDITED_FILES = {
     "r-inf-at-end": ("potential", "solution"),
     "phi-nan": ("solution",),
     "dphi-inf": ("solution",),
+    "phi-overflows-the-residual": ("solution",),
 }
 
 
@@ -128,6 +149,8 @@ class TestRunDarboux:
         assert all(r["passed"] for r in report["residuals"])
         assert (tmp_path / "out" / "well_solution_000.csv").exists()
         assert (tmp_path / "out" / "well_solution_001.csv").exists()
+        assert not _temp_files(tmp_path / "out")
+        _no_child_left()
 
     def test_deterministic_reruns(self, tmp_path):
         out = str(tmp_path / "out")
@@ -149,6 +172,37 @@ class TestRunDarboux:
         assert main(["run", cfg_path]) == 0
         assert (out / "well_potential.csv").is_file()
         assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp") and p.is_file()]
+
+    @pytest.mark.parametrize("writer", ["no-fork", "fork-refused"])
+    def test_one_writer_writes_the_bytes_of_two(self, tmp_path, monkeypatch, writer):
+        out = tmp_path / "out"
+        cfg_path = _write_config(tmp_path / "job.json", _darboux_config(str(out)))
+        assert main(["run", cfg_path]) == 0
+        two = {p.name: p.read_bytes() for p in out.iterdir()}
+        shutil.rmtree(out)
+        if writer == "no-fork":
+            monkeypatch.delattr(os, "fork")
+        else:
+            def refuse():
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+
+            monkeypatch.setattr(os, "fork", refuse)
+        assert main(["run", cfg_path]) == 0
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == two
+
+    def test_command_line_prints_the_report_path_alone(self, tmp_path):
+        # a forked writer that flushed inherited buffers or returned into
+        # main would print more
+        out = tmp_path / "out"
+        cfg_path = _write_config(tmp_path / "job.json", _darboux_config(str(out)))
+        path = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        env.pop("FORGE_RESIDUAL_TOL", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "solvforge.cli", "run", cfg_path],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{out / 'well_report.json'}\n", "")
 
     def test_singular_seed_exits_3_without_artifacts(self, tmp_path):
         out = tmp_path / "out"
@@ -304,6 +358,48 @@ class TestConfigErrors:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert sorted(p.name for p in tmp_path.iterdir()) == ["job.json", "taken"]
 
+    # the darboux job writes the potential and solution 0 in this process and
+    # solution 1 in the forked child (TestCsvWriter.test_halves_*)
+    @pytest.mark.parametrize("fork", [True, False], ids=["two-writers", "one-writer"])
+    @pytest.mark.parametrize(
+        "blocked",
+        [("well_potential.csv",), ("well_solution_000.csv",), ("well_solution_001.csv",),
+         ("well_report.json",), ("well_potential.csv", "well_solution_001.csv")],
+        ids=["potential", "solution-0", "solution-1", "report", "both-writers"],
+    )
+    def test_failed_write_exits_2_cleanly(self, tmp_path, capsys, monkeypatch, blocked, fork):
+        out = tmp_path / "out"
+        for name in blocked:
+            (out / name).mkdir(parents=True)
+        if not fork:
+            monkeypatch.delattr(os, "fork")
+        cfg = _darboux_config(str(out), grid={"a": 0.0, "b": 2.0, "n": 2001})
+        assert main(["run", _write_config(tmp_path / "job.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        # the first blocked artifact in the order the in-process writer takes
+        assert err.startswith(f"error: cannot write {out / blocked[0]}: ") and err.count("\n") == 1
+        assert not _temp_files(out)
+        assert not (out / "well_report.json").is_file()
+        _no_child_left()
+
+    def test_writer_process_that_dies_exits_2_cleanly(self, tmp_path, capsys, monkeypatch):
+        parent, write = os.getpid(), cli._write_in_order
+
+        def die_in_child(numbered, r_cells):
+            if os.getpid() != parent:
+                os._exit(3)
+            return write(numbered, r_cells)
+
+        monkeypatch.setattr(cli, "_write_in_order", die_in_child)
+        out = tmp_path / "out"
+        cfg = _darboux_config(str(out), grid={"a": 0.0, "b": 2.0, "n": 2001})
+        assert main(["run", _write_config(tmp_path / "job.json", cfg)]) == 2
+        err = capsys.readouterr().err
+        blocked = out / "well_solution_001.csv"
+        assert err == f"error: cannot write {blocked}: the writing process ended with code 3\n"
+        assert not (out / "well_report.json").exists()
+        _no_child_left()
+
     @pytest.mark.parametrize(
         "raw",
         [b'{"mode": "\xff"}', b"[" * 100_000 + b"]" * 100_000, b'{"tolerance": ' + b"1" * 5000 + b"}"],
@@ -432,8 +528,10 @@ class TestVerifySubcommand:
         bad = paths[edited[0]]
         before = sorted(p.name for p in tmp_path.rglob("*"))
         capsys.readouterr()
-        rc = main(["verify", str(paths["potential"]), str(paths["solution"]),
-                   "--h", "1", "--gamma-sq", "1.0"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # e.g. numpy's overflow warnings
+            rc = main(["verify", str(paths["potential"]), str(paths["solution"]),
+                       "--h", "1", "--gamma-sq", "1.0"])
         assert rc == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -470,7 +568,8 @@ class TestCsvReader:
     def test_bit_identical_to_float(self, tmp_path, rows):
         header = ["r", "phi", "dphi"]
         csv_path, repr_path = tmp_path / "csv.csv", tmp_path / "repr.csv"
-        csv_path.write_text(_csv(header, [np.array(c) for c in zip(*rows)]))
+        columns = [np.array(c) for c in zip(*rows)]
+        csv_path.write_text(_csv(header, _cells(columns[0]), columns[1:]))
         repr_path.write_text("r,phi,dphi\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows))
         _assert_reads_as_float(csv_path, header)
         _assert_reads_as_float(repr_path, header)
@@ -485,6 +584,34 @@ class TestCsvReader:
                 with open(path) as fh:
                     header = fh.readline().strip().split(",")
                 _assert_reads_as_float(path, header)
+
+
+_FLOATS = st.floats(allow_subnormal=True)
+
+
+class TestCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda k: st.lists(st.tuples(*[_FLOATS] * k), min_size=1, max_size=30)))
+    @example([(-0.0, 5e-324, 1.7976931348623157e308, float("inf"), float("nan"))])
+    @example([(float("nan"),), (-0.0,), (-5e-324,), (float("-inf"),)])
+    def test_rows_match_the_17_digit_row_template(self, rows):
+        columns = [np.array(c) for c in zip(*rows)]
+        header = [f"c{j}" for j in range(len(columns))]
+        row = ",".join(["{:.17g}"] * len(columns)) + "\n"
+        want = ",".join(header) + "\n" + "".join(map(row.format, *(c.tolist() for c in columns)))
+        assert _csv(header, _cells(columns[0]), columns[1:]) == want
+
+    @pytest.mark.parametrize(
+        "widths, mine, theirs",
+        [([1], [0], []), ([1, 2, 2], [0, 1], [2]), ([4, 8, 8], [0, 1], [2]),
+         ([1, 2, 2, 2, 2, 2], [1, 3, 5], [0, 2, 4])],
+        ids=["one-table", "darboux", "multichannel", "quartic"],
+    )
+    def test_halves_balance_cells_in_table_order(self, widths, mine, theirs):
+        tables = [(f"t{k}.csv", [], [np.zeros(3)] * w) for k, w in enumerate(widths)]
+        halves = _halves(list(enumerate(tables)))
+        assert [[k for k, _ in half] for half in halves] == [mine, theirs]
+        assert [t for half in halves for _, t in half] == [tables[k] for k in mine + theirs]
 
 
 class TestSampleConfigs:
