@@ -10,7 +10,8 @@ plus a JSON report with every residual check, and exits 0 only if all checks
 pass.  Exit codes: 0 success, 2 config or input-schema violation, 3 singular
 seed / P matrix / blow-up, 4 residual failure.
 
-Artifacts are written atomically (temp file, then rename) after the whole
+A config is read and checked whole (`_read_config`) before any computation.
+Artifacts are written atomically (temp files, then renames) after the whole
 job has been computed, so error paths leave no partial files.  Identical
 configs produce byte-identical outputs; CSV numbers carry 17 significant
 digits and the report echoes the config together with its SHA-256.
@@ -19,8 +20,10 @@ A run renders its grid's r column once and reuses it as the first column of
 every CSV.  Where `os.fork` exists (POSIX) and a run writes two or more CSVs,
 a forked child renders and writes about half of the cells while this process
 writes the rest; elsewhere one process writes them all through the same loop.
-Either way every file holds the same bytes, and a failed write in either
-process exits 2 with one `error:` line and leaves no temp file.
+Either way every file holds the same bytes.  The temp files are renamed into
+place, the report last, only once all of them are written; a failed write in
+either process or a failed rename exits 2 with one `error:` line and leaves no
+temp file and no artifact of the run.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import __version__
+from . import __version__, errors
 from ._kernels import kernel_backend
 from .bargmann import (
+    MAX_SEEDS,
     BargmannSeed,
     bargmann_potential,
     bargmann_solution,
@@ -49,21 +53,8 @@ from .bargmann import (
     transformed_seed_solutions,
 )
 from .darboux import chain_second_step, darboux_potential, darboux_solution, darboux_transform
-from .errors import (
-    BlowupError,
-    BoundaryError,
-    ConfigError,
-    DirectionMismatchError,
-    DomainError,
-    DuplicateSpectralError,
-    ExprSyntaxError,
-    ForgeError,
-    NonUniformShiftError,
-    SeedRejectedError,
-    SingularPotentialError,
-    SingularSeedError,
-)
-from .expr import evaluate_on_grid, parse
+from .errors import ConfigError, DomainError, ExprSyntaxError, ForgeError
+from .expr import AnalyticExpr, Node, evaluate_on_grid, parse
 from .grid import Direction, RadialGrid, SampledField
 from .multichannel import (
     diagonal_base_system,
@@ -74,6 +65,7 @@ from .multichannel import (
 from .solver import (
     JOST_AT_RIGHT,
     REGULAR_AT_LEFT,
+    BoundaryCondition,
     CustomBC,
     Solution,
     bc_for,
@@ -88,27 +80,30 @@ EXIT_SINGULAR = 3
 EXIT_RESIDUAL = 4
 
 _STRUCTURAL_ERRORS = (
-    SingularSeedError,
-    SingularPotentialError,
-    DuplicateSpectralError,
-    BlowupError,
-    BoundaryError,
-    SeedRejectedError,
-    DirectionMismatchError,
-    NonUniformShiftError,
+    errors.SingularSeedError,
+    errors.SingularPotentialError,
+    errors.DuplicateSpectralError,
+    errors.BlowupError,
+    errors.BoundaryError,
+    errors.SeedRejectedError,
+    errors.DirectionMismatchError,
+    errors.NonUniformShiftError,
 )
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write `text` to `path` through a temp file and a rename; a failure
-    removes the temp file and raises ConfigError naming `path`."""
-    # a per-process temp name: concurrent runs into one directory, or a stale
-    # leftover, never share the file that is renamed into place
-    tmp = f"{path}.{os.getpid()}.tmp"
+def _temp(path: str, pid: int) -> str:
+    """The temp file of `path` written by process `pid`: concurrent runs into
+    one directory, or a stale leftover, never share the file renamed into place."""
+    return f"{path}.{pid}.tmp"
+
+
+def _write_temp(path: str, text: str) -> None:
+    """Write `text` to this process's temp file of `path`; a failure removes
+    the temp file and raises ConfigError naming `path`."""
+    tmp = _temp(path, os.getpid())
     try:
         with open(tmp, "w") as fh:
             fh.write(text)
-        os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
@@ -136,23 +131,45 @@ def _csv(header: list[str], first: list[str], columns: list[np.ndarray]) -> str:
 _Table = tuple[str, list[str], list[np.ndarray]]
 
 
-def _write_csvs(tables: list[_Table], r: np.ndarray) -> None:
-    """Write every table as CSV, r rendered once and shared by all.
+def _write_run(tables: list[_Table], r: np.ndarray, report: tuple[str, str]) -> None:
+    """Write every table as CSV, r rendered once and shared by all, and then
+    the report (path, text).
 
-    With two or more tables and `os.fork`, a forked child renders and writes
-    about half of the cells (`_halves`) while this process writes the rest.
-    A failed write raises the ConfigError of the first failing table in
-    `tables` order, whichever process wrote it.
+    Each file is written to a temp file; with two or more tables and
+    `os.fork`, a forked child renders and writes about half of the cells
+    (`_halves`) while this process writes the rest.  Only then are the temp
+    files renamed into place, the report last.  A failed write raises the
+    ConfigError of the first failing table in `tables` order, whichever process
+    wrote it, a failed rename that of its file; either leaves no file of the run.
     """
+    _write_temp(*report)
     r_cells = _cells(r)
     numbered = list(enumerate(tables))
+    pids = {}  # table index -> the process that wrote its temp file, if not this one
     if len(numbered) > 1 and hasattr(os, "fork"):
-        failures = _write_in_two_processes(*_halves(numbered), r_cells)
+        mine, theirs = _halves(numbered)
+        failures, child = _write_in_two_processes(mine, theirs, r_cells)
+        pids = dict.fromkeys((k for k, _ in theirs), child)
     else:
         failures = [_write_in_order(numbered, r_cells)]
+    moves = [(_temp(path, pids.get(k, os.getpid())), path) for k, (path, _, _) in numbered]
+    moves.append((_temp(report[0], os.getpid()), report[0]))
     failures = [f for f in failures if f is not None]
-    if failures:
-        raise ConfigError(min(failures)[1])
+    renamed = 0
+    try:
+        if failures:
+            raise ConfigError(min(failures)[1])
+        for tmp, path in moves:
+            try:
+                os.replace(tmp, path)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+            renamed += 1
+    except ConfigError:
+        for leftover in [p for _, p in moves[:renamed]] + [t for t, _ in moves[renamed:]]:
+            with contextlib.suppress(OSError):
+                os.unlink(leftover)
+        raise
 
 
 def _halves(numbered: list[tuple[int, _Table]]) -> tuple[list, list]:
@@ -169,29 +186,30 @@ def _halves(numbered: list[tuple[int, _Table]]) -> tuple[list, list]:
 
 
 def _write_in_order(numbered: list[tuple[int, _Table]], r_cells: list[str]) -> tuple[int, str] | None:
-    """Render and write (index, table) pairs in order; the index and message
-    of the first failed write, or None."""
+    """Render and write (index, table) pairs to temp files in order; the index
+    and message of the first failed write, or None."""
     for k, (path, header, columns) in numbered:
         try:
-            _atomic_write(path, _csv(header, r_cells, columns))
+            _write_temp(path, _csv(header, r_cells, columns))
         except ConfigError as exc:
             return k, str(exc)
     return None
 
 
-def _write_in_two_processes(mine: list, theirs: list, r_cells: list[str]) -> list:
+def _write_in_two_processes(mine: list, theirs: list, r_cells: list[str]) -> tuple[list, int]:
     """`_write_in_order` over `mine` here and over `theirs` in a forked
-    child; the outcome of each.  The child reports a failed write through a
-    pipe and leaves through os._exit, so the caller's stack never resumes in
-    it and no inherited stdio buffer is flushed twice.  The child is always
-    reaped before this returns or raises."""
+    child; the outcome of each, and the process that wrote `theirs`.  The
+    child reports a failed write through a pipe and leaves through os._exit,
+    so the caller's stack never resumes in it and no inherited stdio buffer
+    is flushed twice.  The child is always reaped before this returns or
+    raises."""
     rfd, wfd = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to spare: write everything here
         os.close(rfd)
         os.close(wfd)
-        return [_write_in_order(sorted(mine + theirs, key=lambda item: item[0]), r_cells)]
+        return [_write_in_order(sorted(mine + theirs, key=lambda item: item[0]), r_cells)], os.getpid()
     if pid == 0:
         status = 1
         try:
@@ -217,7 +235,7 @@ def _write_in_two_processes(mine: list, theirs: list, r_cells: list[str]) -> lis
         k, (path, _, _) = theirs[0]
         code = os.waitstatus_to_exitcode(status)
         outcomes.append((k, f"cannot write {path}: the writing process ended with code {code}"))
-    return outcomes
+    return outcomes, pid
 
 
 def _read_csv(path: str, expected_header: list[str]) -> dict[str, np.ndarray]:
@@ -319,6 +337,42 @@ def _read_samples(path: str, expected_header: list[str]) -> dict[str, np.ndarray
 # ---------------------------------------------------------------------------
 # config handling
 
+# Bounds that keep one run's memory finite.  Peak RSS of `forge run`, each in
+# a fresh process with two eval_gammas (2-vCPU Xeon, Python 3.11, numpy 2.4):
+# bargmann with MAX_SEEDS = 8 seeds, 60/110/260 MB at n = 10001/30001/100001,
+# ~2.2 kB per node; multichannel with MAX_CHANNELS channels, 186/490/794 MB at
+# n = 10001/30001/50001, ~15 kB per node, plus ~1 kB per node for each further
+# eval_gammas entry.  At MAX_NODES that extrapolates to ~0.5 and ~3.1 GB.
+MAX_NODES = 200_001
+MAX_CHANNELS = 8
+MIN_NODES = 7  # the residual stencil
+MAX_EXPR_DEPTH = 100  # deeper trees overflow the parser's or evaluator's recursion
+
+
+class _Seed(NamedTuple):
+    """gamma^2, C (0 for darboux), and the expression of an analytic seed or the
+    boundary condition of an integrated one; a multichannel channel has neither."""
+
+    gamma_sq: float
+    coeff: float
+    expr: AnalyticExpr | None
+    bc: BoundaryCondition | None
+
+
+class _Config(NamedTuple):
+    """A `forge run` config with every key checked: all the job reads."""
+
+    mode: str
+    grid: RadialGrid
+    direction: Direction
+    tol: float
+    h: AnalyticExpr
+    v0: list[AnalyticExpr]  # one per channel; one outside multichannel
+    seeds: list[_Seed]  # multichannel: one per channel
+    eval_gammas: list  # gamma^2 values; multichannel: a list of one per channel
+    out_dir: str
+    prefix: str
+
 
 def _load_config(path: str) -> tuple[dict, str]:
     try:
@@ -332,8 +386,6 @@ def _load_config(path: str) -> tuple[dict, str]:
         raise ConfigError(f"config cannot be parsed as JSON: {exc}") from exc
     except RecursionError as exc:
         raise ConfigError(f"config nests too deeply: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
     return cfg, hashlib.sha256(raw).hexdigest()
 
 
@@ -362,102 +414,114 @@ def _tolerance(source: dict, key: str, what: str) -> float:
     return tol
 
 
-def _cfg_get(cfg: dict, key: str, kind, where: str = "config"):
-    if key not in cfg:
-        raise ConfigError(f"{where}: missing required key {key!r}")
-    val = cfg[key]
-    if kind is float:
-        return _number(val, f"{where}: key {key!r}")
-    if not isinstance(val, kind):
-        raise ConfigError(f"{where}: key {key!r} must be {kind.__name__}")
+def _object(val, where: str, required: tuple, optional: tuple = ()) -> dict:
+    """`val` as a JSON object with every `required` key and no keys but those and `optional`."""
+    if not isinstance(val, dict):
+        raise ConfigError(f"{where} must be an object")
+    missing, unknown = set(required) - set(val), set(val) - set(required) - set(optional)
+    if missing or unknown:
+        what = f"missing required key {min(missing)!r}" if missing else f"unknown key {min(unknown)!r}"
+        raise ConfigError(f"{where}: {what}")
     return val
 
 
-def _parse_expr(text, where: str):
+def _list(val, where: str, item: Callable, low: int = 0, high: int = sys.maxsize) -> list:
+    """`val` as a JSON list of `low` to `high` entries, each read by item(entry, where)."""
+    if not isinstance(val, list):
+        raise ConfigError(f"{where} must be a list")
+    if not low <= len(val) <= high:
+        count = low if low == high else f"{low} to {high}"
+        raise ConfigError(f"{where} must have length {count}, got {len(val)}")
+    return [item(x, f"{where}[{k}]") for k, x in enumerate(val)]
+
+
+def _parse_expr(text, where: str) -> AnalyticExpr:
+    """An expression string, parsed; its tree at most MAX_EXPR_DEPTH levels deep."""
     if not isinstance(text, str):
         raise ConfigError(f"{where}: expected an expression string")
     try:
-        return parse(text)
+        e = parse(text)
     except ExprSyntaxError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    except RecursionError:  # nested deeper than the parser's recursion reaches
+        e = None
+    level = [e.root] if e is not None else []
+    for _ in range(MAX_EXPR_DEPTH):  # one level of the tree per pass, without recursion
+        level = [c for n in level for s in n.__slots__ if isinstance(c := getattr(n, s), Node)]
+    if e is None or level:
+        raise ConfigError(f"{where}: expression nests deeper than {MAX_EXPR_DEPTH} levels")
+    return e
 
 
-def _grid_from_config(cfg: dict) -> RadialGrid:
-    gcfg = _cfg_get(cfg, "grid", dict)
-    a = _cfg_get(gcfg, "a", float, "grid")
-    b = _cfg_get(gcfg, "b", float, "grid")
-    n = _cfg_get(gcfg, "n", int, "grid")
-    try:
-        return RadialGrid(a, b, n)
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+def _bc_from_spec(spec, where: str) -> BoundaryCondition:
+    if spec in ("regular_at_left", "jost_at_right"):
+        return REGULAR_AT_LEFT if spec == "regular_at_left" else JOST_AT_RIGHT
+    if not isinstance(spec, dict):
+        raise ConfigError(f"{where}: unknown boundary condition {spec!r}")
+    bc = _object(spec, f"{where}.bc", ("value", "slope"), ("at",))
+    if bc.get("at", "left") not in ("left", "right"):
+        raise ConfigError(f"{where}.bc: 'at' must be 'left' or 'right'")
+    return CustomBC(_number(bc["value"], f"{where}.bc: key 'value'"),
+                    _number(bc["slope"], f"{where}.bc: key 'slope'"), bc.get("at", "left"))
 
 
-def _direction_from_config(cfg: dict) -> Direction:
-    name = cfg.get("direction", "from_left")
-    try:
-        return Direction(name)
-    except ValueError as exc:
-        raise ConfigError(f"direction must be 'from_left' or 'from_right', got {name!r}") from exc
+def _seed(val, where: str, required: tuple) -> _Seed:
+    """A single-channel seed: the `required` keys and exactly one of expr and bc."""
+    seed = _object(val, where, required, ("expr", "bc"))
+    if ("expr" in seed) == ("bc" in seed):
+        raise ConfigError(f"{where}: a seed takes exactly one of 'expr' and 'bc'")
+    return _Seed(
+        _number(seed["gamma_sq"], f"{where}: key 'gamma_sq'"),
+        _number(seed.get("C", 0.0), f"{where}: key 'C'"),
+        _parse_expr(seed["expr"], where) if "expr" in seed else None,
+        _bc_from_spec(seed["bc"], where) if "bc" in seed else None,
+    )
 
 
-def _bc_from_spec(spec, where: str):
-    if spec == "regular_at_left":
-        return REGULAR_AT_LEFT
-    if spec == "jost_at_right":
-        return JOST_AT_RIGHT
-    if isinstance(spec, dict):
-        value = _cfg_get(spec, "value", float, f"{where}.bc")
-        slope = _cfg_get(spec, "slope", float, f"{where}.bc")
-        try:
-            return CustomBC(value, slope, spec.get("at", "left"))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: bad custom boundary condition: {exc}") from exc
-    raise ConfigError(f"{where}: unknown boundary condition {spec!r}")
+def _read_config(cfg) -> _Config:
+    """Every key of a `forge run` config, unknown keys included, checked and
+    converted before any expression is evaluated; a violation raises ConfigError."""
+    _object(cfg, "config", ("mode", "grid", "base", "seeds"),
+            ("direction", "eval_gammas", "tolerance", "output"))
+    mode = cfg["mode"]
+    if mode not in ("darboux", "chain", "bargmann", "multichannel"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    g = _object(cfg["grid"], "grid", ("a", "b", "n"))
+    n = g["n"]
+    if isinstance(n, bool) or not isinstance(n, int) or not MIN_NODES <= n <= MAX_NODES:
+        raise ConfigError(f"grid: n must be an integer from {MIN_NODES} to {MAX_NODES}, got {n!r}")
+    a, b = _number(g["a"], "grid: key 'a'"), _number(g["b"], "grid: key 'b'")
+    if not a < b:
+        raise ConfigError(f"grid: need a < b, got a={a}, b={b}")
+    grid = RadialGrid(a, b, n)
+    direction = cfg.get("direction", "from_left")
+    if direction not in ("from_left", "from_right"):
+        raise ConfigError(f"direction must be 'from_left' or 'from_right', got {direction!r}")
 
+    base = _object(cfg["base"], "base", ("V0", "h"))
+    h = _parse_expr(base["h"], "base.h")
+    if mode == "multichannel":
+        v0 = _list(base["V0"], "base.V0", _parse_expr, 1, MAX_CHANNELS)
+        mc = _object(cfg["seeds"], "seeds", ("gamma_prime_sq", "c"))
+        entry = functools.partial(_list, item=_number, low=len(v0), high=len(v0))  # one per channel
+        seeds = [_Seed(gp, c, None, None) for gp, c in zip(
+            entry(mc["gamma_prime_sq"], "seeds.gamma_prime_sq"), entry(mc["c"], "seeds.c"))]
+    else:
+        v0 = [_parse_expr(base["V0"], "base.V0")]
+        keys = ("gamma_sq",) if mode == "darboux" else ("gamma_sq", "C")
+        seeds = _list(cfg["seeds"], "seeds", functools.partial(_seed, required=keys), 1,
+                      MAX_SEEDS if mode == "bargmann" else 1)
+        entry = _number
 
-def _seed_solution(seed_cfg: dict, grid, V0f, hf, where: str) -> Solution:
-    gamma_sq = _cfg_get(seed_cfg, "gamma_sq", float, where)
-    if "expr" in seed_cfg:
-        return seed_from_expression(
-            _parse_expr(seed_cfg["expr"], where), grid, gamma_sq=gamma_sq, V0=V0f, h=hf
-        )
-    if "bc" in seed_cfg:
-        return solve(V0f, hf, gamma_sq, _bc_from_spec(seed_cfg["bc"], where))
-    raise ConfigError(f"{where}: seed needs either 'expr' or 'bc'")
-
-
-def _seeds(cfg: dict, mode: str, grid, V0f, hf) -> list[BargmannSeed]:
-    """The single-channel seeds; darboux seeds take no C and carry 0."""
-    seed_cfgs = _cfg_get(cfg, "seeds", list)
-    if mode == "bargmann" and not seed_cfgs:
-        raise ConfigError("bargmann mode needs at least one seed")
-    if mode != "bargmann" and len(seed_cfgs) != 1:
-        raise ConfigError(f"{mode} mode takes exactly one seed")
-    seeds = []
-    for k, scfg in enumerate(seed_cfgs):
-        where = f"seeds[{k}]"
-        if not isinstance(scfg, dict):
-            raise ConfigError(f"{where}: a seed must be an object")
-        coeff = 0.0 if mode == "darboux" else _cfg_get(scfg, "C", float, where)
-        sol = _seed_solution(scfg, grid, V0f, hf, where)
-        seeds.append(BargmannSeed(sol.gamma_sq, coeff, sol))
-    return seeds
-
-
-def _eval_gammas(cfg: dict, multichannel: bool) -> list:
-    """eval_gammas as floats, or as lists of floats for multichannel jobs."""
-    gammas = cfg.get("eval_gammas", [])
-    if not isinstance(gammas, list):
-        raise ConfigError("eval_gammas must be a list of gamma^2 values")
-    if not multichannel:
-        return [_number(g, f"eval_gammas[{k}]") for k, g in enumerate(gammas)]
-    if not all(isinstance(g, list) for g in gammas):
-        raise ConfigError("multichannel eval_gammas entries must be lists of gamma^2 values")
-    return [
-        [_number(x, f"eval_gammas[{k}][{j}]") for j, x in enumerate(g)]
-        for k, g in enumerate(gammas)
-    ]
+    out = _object(cfg.get("output", {}), "output", (), ("dir", "prefix"))
+    out_dir, prefix = out.get("dir", "."), out.get("prefix", "job")
+    if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir:
+        raise ConfigError(f"output.dir must be a non-empty path string, got {out_dir!r}")
+    if not isinstance(prefix, str) or prefix in (".", "..") or {"/", os.sep, "\0"} & set(prefix):
+        raise ConfigError(f"output.prefix must be a plain file-name prefix, got {prefix!r}")
+    tol = _tolerance(cfg, "tolerance", "tolerance")
+    gammas = _list(cfg.get("eval_gammas", []), "eval_gammas", entry)
+    return _Config(mode, grid, Direction(direction), tol, h, v0, seeds, gammas, out_dir, prefix)
 
 
 def _sup(x: np.ndarray) -> float:
@@ -481,28 +545,29 @@ class _Job(NamedTuple):
     extras: dict  # report entries fixed by the construction
 
 
-def _single_channel(cfg, grid, direction, tol) -> _Job:
-    base = _cfg_get(cfg, "base", dict)
-    h_expr = _parse_expr(_cfg_get(base, "h", str, "base"), "base.h")
-    v0_expr = _parse_expr(_cfg_get(base, "V0", str, "base"), "base.V0")
+def _single_channel(cfg: _Config) -> _Job:
+    grid, direction, h_expr = cfg.grid, cfg.direction, cfg.h
     try:
         hf = evaluate_on_grid(h_expr, grid)
-        v0f = evaluate_on_grid(v0_expr, grid)
+        v0f = evaluate_on_grid(cfg.v0[0], grid)
     except DomainError as exc:
         raise ConfigError(f"base expressions not evaluable on the grid: {exc}") from exc
 
-    mode = cfg["mode"]
-    seeds = _seeds(cfg, mode, grid, v0f, hf)
+    seeds = [
+        BargmannSeed(s.gamma_sq, s.coeff, solve(v0f, hf, s.gamma_sq, s.bc) if s.expr is None
+                     else seed_from_expression(s.expr, grid, gamma_sq=s.gamma_sq, V0=v0f, h=hf))
+        for s in cfg.seeds
+    ]
     seed = seeds[0].phi0
     extras: dict = {}
     images: list[Solution] = []
-    if mode == "darboux":
+    if cfg.mode == "darboux":
         potential = darboux_potential(seed, h_expr, v0f)
 
         def transform(phi0):
             return darboux_solution(seed, hf, phi0), {}
 
-    elif mode == "chain":
+    elif cfg.mode == "chain":
         first = darboux_transform(seed, h_expr, v0f)
         potential, smap = chain_second_step(first, seeds[0].coeff, direction)
         sset = make_seed_set(seeds, v0f, h_expr, direction)
@@ -527,7 +592,7 @@ def _single_channel(cfg, grid, direction, tol) -> _Job:
             return bargmann_solution(sset, pm, phi0), {}
 
     def checked(phi):
-        return verify_mod.residual(potential, hf, phi, tol=tol), [phi.values, phi.derivs]
+        return verify_mod.residual(potential, hf, phi, tol=cfg.tol), [phi.values, phi.derivs]
 
     def evaluate(gamma_sq):
         phi, checks = transform(solve(v0f, hf, gamma_sq, bc_for(direction)))
@@ -539,20 +604,10 @@ def _single_channel(cfg, grid, direction, tol) -> _Job:
     )
 
 
-def _multichannel(cfg, grid, direction, tol) -> _Job:
-    base = _cfg_get(cfg, "base", dict)
-    v0_list = _cfg_get(base, "V0", list, "base")
-    h_expr = _parse_expr(_cfg_get(base, "h", str, "base"), "base.h")
-    mc = _cfg_get(cfg, "seeds", dict)
-    gamma_prime = _cfg_get(mc, "gamma_prime_sq", list, "seeds")
-    coeffs = _cfg_get(mc, "c", list, "seeds")
-    if not (len(v0_list) == len(gamma_prime) == len(coeffs)):
-        raise ConfigError("base.V0, seeds.gamma_prime_sq and seeds.c must have equal lengths")
-    v0_exprs = [_parse_expr(e, f"base.V0[{k}]") for k, e in enumerate(v0_list)]
-    gamma_prime = [_number(x, f"seeds.gamma_prime_sq[{k}]") for k, x in enumerate(gamma_prime)]
-    coeffs = [_number(x, f"seeds.c[{k}]") for k, x in enumerate(coeffs)]
+def _multichannel(cfg: _Config) -> _Job:
     try:
-        cs = diagonal_base_system(v0_exprs, h_expr, grid, gamma_prime, coeffs, direction)
+        cs = diagonal_base_system(cfg.v0, cfg.h, cfg.grid, [s.gamma_sq for s in cfg.seeds],
+                                  [s.coeff for s in cfg.seeds], cfg.direction)
     except (DomainError, ValueError) as exc:
         raise ConfigError(f"multichannel base: {exc}") from exc
 
@@ -560,24 +615,22 @@ def _multichannel(cfg, grid, direction, tol) -> _Job:
     n_ch = cs.n_channels
     labels = [f"{a + 1}{b + 1}" for a, b in np.ndindex(n_ch, n_ch)]
     seed_rep = verify_mod.matrix_residual(
-        vmat, cs.h_field, transformed_seed_vectors(cs), cs.gamma_prime_sq, tol=tol
+        vmat, cs.h_field, transformed_seed_vectors(cs), cs.gamma_prime_sq, tol=cfg.tol
     )
 
     def evaluate(gnew):
-        if len(gnew) != n_ch:
-            raise ConfigError(f"multichannel eval_gammas entries must hold {n_ch} values, got {gnew}")
         phi = multichannel_solution(cs, gnew)
         gap = 0.0
         if abs(gnew[0] - cs.gamma_prime_sq[0]) >= 1e-8:
             gap = _sup(phi.values - multichannel_solution(cs, gnew, form="wronskian").values)
-        rep = verify_mod.matrix_residual(vmat, cs.h_field, phi, gnew, tol=tol)
+        rep = verify_mod.matrix_residual(vmat, cs.h_field, phi, gnew, tol=cfg.tol)
         # row-major entries, each as a (phi, dphi) column pair
-        pairs = np.stack([phi.values, phi.derivs], axis=-1).reshape(grid.n, -1)
+        pairs = np.stack([phi.values, phi.derivs], axis=-1).reshape(cfg.grid.n, -1)
         return rep, [*pairs.T], {"forms_max_diff": gap}
 
     v = vmat.values
     return _Job(
-        (["r"] + [f"V_{ab}" for ab in labels], [*v.reshape(grid.n, -1).T]),
+        (["r"] + [f"V_{ab}" for ab in labels], [*v.reshape(cfg.grid.n, -1).T]),
         ["r"] + [f"{name}_{ab}" for ab in labels for name in ("phi", "dphi")],
         [({"kind": "transformed_seed_vectors"}, seed_rep, None)],
         evaluate,
@@ -586,63 +639,49 @@ def _multichannel(cfg, grid, direction, tol) -> _Job:
 
 
 def cmd_run(args) -> int:
-    cfg, sha = _load_config(args.config)
-    mode = _cfg_get(cfg, "mode", str)
-    if mode not in ("darboux", "chain", "bargmann", "multichannel"):
-        raise ConfigError(f"unknown mode {mode!r}")
-    grid = _grid_from_config(cfg)
-    direction = _direction_from_config(cfg)
-    tol = _tolerance(cfg, "tolerance", "tolerance")
-    gammas = _eval_gammas(cfg, mode == "multichannel")
-
-    out_cfg = cfg.get("output", {})
-    if not isinstance(out_cfg, dict):
-        raise ConfigError("output must be an object")
-    out_dir = out_cfg.get("dir", ".")
-    if not isinstance(out_dir, str) or not out_dir or "\0" in out_dir:
-        raise ConfigError(f"output.dir must be a non-empty path string, got {out_dir!r}")
-    out_dir = args.out_dir or out_dir
-    prefix = out_cfg.get("prefix", "job")
-    if not isinstance(prefix, str) or prefix in (".", "..") or {"/", os.sep, "\0"} & set(prefix):
-        raise ConfigError(f"output.prefix must be a plain file-name prefix, got {prefix!r}")
-
-    build = _multichannel if mode == "multichannel" else _single_channel
-    job = build(cfg, grid, direction, tol)
-    artifacts = {"potential": job.potential}
-    residuals = []
-    extras = dict(job.extras)
-    for k, (head, rep, columns) in enumerate(job.seed_checks):
-        residuals.append({**head, **rep.to_dict()})
-        if columns is not None:
-            artifacts[f"seed_solution_{k:03d}"] = (job.solution_header, columns)
-    for k, gamma_sq in enumerate(gammas):
-        rep, columns, checks = job.evaluate(gamma_sq)
-        residuals.append({"kind": "transformed", "gamma_sq": gamma_sq, **rep.to_dict()})
-        artifacts[f"solution_{k:03d}"] = (job.solution_header, columns)
-        for key, gap in checks.items():
-            extras[key] = max(extras.get(key, 0.0), gap)
+    raw, sha = _load_config(args.config)
+    cfg = _read_config(raw)
+    try:
+        job = (_multichannel if cfg.mode == "multichannel" else _single_channel)(cfg)
+        artifacts = {"potential": job.potential}
+        residuals = []
+        extras = dict(job.extras)
+        for k, (head, rep, columns) in enumerate(job.seed_checks):
+            residuals.append({**head, **rep.to_dict()})
+            if columns is not None:
+                artifacts[f"seed_solution_{k:03d}"] = (job.solution_header, columns)
+        for k, gamma_sq in enumerate(cfg.eval_gammas):
+            rep, columns, checks = job.evaluate(gamma_sq)
+            residuals.append({"kind": "transformed", "gamma_sq": gamma_sq, **rep.to_dict()})
+            artifacts[f"solution_{k:03d}"] = (job.solution_header, columns)
+            for key, gap in checks.items():
+                extras[key] = max(extras.get(key, 0.0), gap)
+    except ValueError as exc:  # the library's refusal of a field that overflowed
+        raise ConfigError(f"the construction is not finite: {exc}") from exc
 
     all_passed = all(r["passed"] for r in residuals)
+    out_dir, prefix = args.out_dir or cfg.out_dir, cfg.prefix
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}") from exc
     paths = {name: os.path.join(out_dir, f"{prefix}_{name}.csv") for name in artifacts}
-    _write_csvs([(paths[name], *table) for name, table in artifacts.items()], grid.r)
 
     report = {
         "tool": {"name": "solvforge", "version": __version__, "kernel": kernel_backend()},
-        "config": cfg,
+        "config": raw,
         "config_sha256": sha,
-        "mode": mode,
-        "tolerance": tol,
+        "mode": cfg.mode,
+        "tolerance": cfg.tol,
         "residuals": residuals,
         "artifacts": paths,
         "all_passed": all_passed,
         **extras,
     }
     report_path = os.path.join(out_dir, f"{prefix}_report.json")
-    _atomic_write(report_path, json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    report_text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    _write_run([(paths[name], *table) for name, table in artifacts.items()], cfg.grid.r,
+               (report_path, report_text))
     print(report_path)
     return EXIT_OK if all_passed else EXIT_RESIDUAL
 
@@ -690,7 +729,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_parse_check(args) -> int:
-    e = parse(args.expr)
+    e = _parse_expr(args.expr, "expr")
     print(json.dumps(
         {"ok": True, "canonical": str(e), "derivative": str(e.derivative())},
         sort_keys=True, allow_nan=False,
@@ -735,18 +774,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ExprSyntaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except _STRUCTURAL_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SINGULAR
     except ForgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return EXIT_SINGULAR if isinstance(exc, _STRUCTURAL_ERRORS) else EXIT_CONFIG
 
 
 if __name__ == "__main__":

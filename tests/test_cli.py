@@ -38,15 +38,41 @@ def _darboux_config(out_dir, grid=None):
     }
 
 
-def _multichannel_config(out_dir):
+def _multichannel_config(out_dir, channels=2):
+    """A diagonal-base job; channels past the second have V0 = 0."""
+    gamma_prime = [-1.0 - 0.5 * a for a in range(channels)]
     return {
         "grid": {"a": 0.0, "b": 5.0, "n": 5001},
-        "base": {"V0": ["0", "-2/(1+r)^2"], "h": "1 + exp(-r)"},
+        "base": {"V0": ["0", "-2/(1+r)^2"] + ["0"] * (channels - 2), "h": "1 + exp(-r)"},
         "mode": "multichannel",
-        "seeds": {"gamma_prime_sq": [-1.0, -1.5], "c": [0.6, 0.4]},
-        "eval_gammas": [[0.0, -0.5], [1.5, 1.0]],
+        "seeds": {"gamma_prime_sq": gamma_prime, "c": [0.6] + [0.4] * (channels - 1)},
+        "eval_gammas": [[g + 1.0 for g in gamma_prime], [g + 2.5 for g in gamma_prime]],
         "output": {"dir": out_dir, "prefix": "mc"},
     }
+
+
+def _bargmann_config(out_dir, seeds=3):
+    """Jost seeds at gamma^2 = -1, -2.25, -4, ... on a decaying frame."""
+    return {
+        "grid": {"a": 0.0, "b": 10.0, "n": 2001},
+        "base": {"V0": "0", "h": "1"},
+        "mode": "bargmann",
+        "direction": "from_right",
+        "seeds": [
+            {"gamma_sq": -(1.0 + 0.5 * k) ** 2, "C": 0.5, "bc": "jost_at_right"} for k in range(seeds)
+        ],
+        "eval_gammas": [-0.4],
+        "output": {"dir": out_dir, "prefix": "bound"},
+    }
+
+
+_CONFIGS = {
+    "darboux": _darboux_config,
+    "multichannel": _multichannel_config,
+    "bargmann": _bargmann_config,
+    # every channel list one longer than allowed
+    "channels": lambda out_dir: _multichannel_config(out_dir, channels=cli.MAX_CHANNELS + 1),
+}
 
 
 def _set_key(cfg, path, value):
@@ -312,41 +338,81 @@ class TestConfigErrors:
         assert main(["run", str(tmp_path / "missing.json")]) == 2
 
     @pytest.mark.parametrize(
-        "multichannel, key, value",
+        "config, key, value",
         [
-            (False, "tolerance", "tight"),
-            (False, "tolerance", float("nan")),
-            (False, "tolerance", -1),
-            (False, "eval_gammas", ["x"]),
-            (False, "seeds", [3]),
-            (True, "eval_gammas", [["a", "b"]]),
-            (True, "seeds.gamma_prime_sq", [[1], -1.5]),
-            (True, "seeds.c", [None, 0.4]),
-            (True, "seeds.c", ["0.6", 0.4]),
-            (True, "base.V0", [0, "-2/(1+r)^2"]),
-            (False, "output.dir", 5),
-            (False, "output.dir", ["out"]),
-            (False, "output.dir", ""),
-            (False, "output.dir", "out\0x"),
-            (False, "eval_gammas", [float("nan")]),
-            (False, "seeds.0.gamma_sq", float("inf")),
-            (False, "seeds.0", {"gamma_sq": -1.0, "bc": {"value": "1", "slope": True}}),
-            (False, "seeds.0", {"gamma_sq": -1.0, "bc": {"value": float("nan"), "slope": 0.0}}),
+            ("darboux", "tolerance", "tight"),
+            ("darboux", "tolerance", float("nan")),
+            ("darboux", "tolerance", -1),
+            ("darboux", "eval_gammas", ["x"]),
+            ("darboux", "seeds", [3]),
+            ("multichannel", "eval_gammas", [["a", "b"]]),
+            ("multichannel", "seeds.gamma_prime_sq", [[1], -1.5]),
+            ("multichannel", "seeds.c", [None, 0.4]),
+            ("multichannel", "seeds.c", ["0.6", 0.4]),
+            ("multichannel", "base.V0", [0, "-2/(1+r)^2"]),
+            ("darboux", "output.dir", 5),
+            ("darboux", "output.dir", ["out"]),
+            ("darboux", "output.dir", ""),
+            ("darboux", "output.dir", "out\0x"),
+            ("darboux", "eval_gammas", [float("nan")]),
+            ("darboux", "seeds.0.gamma_sq", float("inf")),
+            ("darboux", "seeds.0", {"gamma_sq": -1.0, "bc": {"value": "1", "slope": True}}),
+            ("darboux", "seeds.0", {"gamma_sq": -1.0, "bc": {"value": float("nan"), "slope": 0.0}}),
+            # keys outside the schema, and bounds, all found before any computation
+            ("darboux", "tolerence", 1e-30),
+            ("darboux", "colour", "blue"),
+            ("darboux", "seeds.0.Cc", 0.8),
+            ("darboux", "seeds.0.C", 0.8),
+            ("darboux", "seeds.0.bc", "regular_at_left"),
+            ("bargmann", "seeds", _bargmann_config("out", seeds=cli.MAX_SEEDS + 1)["seeds"]),
+            ("darboux", "grid.n", 5),
+            ("darboux", "grid.n", cli.MAX_NODES + 1),
+            ("channels", "base.V0", ["0"] * (cli.MAX_CHANNELS + 1)),
+            ("multichannel", "eval_gammas.1", [1.5]),
         ],
         ids=["tol-string", "tol-nan", "tol-negative", "gamma-string", "seed-not-object",
              "multichannel-gamma-strings", "multichannel-gamma-prime-list",
              "multichannel-c-null", "multichannel-c-string", "multichannel-v0-number",
              "out-dir-number", "out-dir-list", "out-dir-empty", "out-dir-nul", "gamma-nan", "seed-gamma-inf",
-             "bc-value-string", "bc-value-nan"],
+             "bc-value-string", "bc-value-nan",
+             "tolerance-misspelt", "unknown-key", "unknown-seed-key", "darboux-seed-with-C",
+             "seed-with-expr-and-bc", "too-many-bargmann-seeds", "n-below-the-stencil",
+             "n-above-the-bound", "too-many-channels", "multichannel-gamma-entry-too-short"],
     )
-    def test_malformed_value_exits_2_cleanly(self, tmp_path, capsys, multichannel, key, value):
+    def test_malformed_value_exits_2_cleanly(self, tmp_path, capsys, monkeypatch, config, key, value):
+        def computed(*args, **kwargs):
+            raise AssertionError("the job was computed before its config was rejected")
+
+        for name in ("evaluate_on_grid", "solve", "seed_from_expression", "diagonal_base_system"):
+            monkeypatch.setattr(cli, name, computed)
         out = tmp_path / "out"
-        cfg = _multichannel_config(str(out)) if multichannel else _darboux_config(str(out))
+        cfg = _CONFIGS[config](str(out))
         _set_key(cfg, key, value)
         rc = main(["run", _write_config(tmp_path / "job.json", cfg)])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    # shipped configs on 201 nodes whose construction overflows; the library
+    # refuses such a field with ValueError
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [("chain_vs_single_seed", "seeds.0.gamma_sq", -871.6),
+         ("two_channel", "seeds.c", [1.7976931348623155e308, 0.4])],
+        ids=["chain-seed-overflows", "multichannel-c-overflows"],
+    )
+    def test_overflowing_construction_exits_2_cleanly(self, tmp_path, capsys, name, key, value):
+        out = tmp_path / "out"
+        cfg = json.loads((REPO / "configs" / f"{name}.json").read_text())
+        cfg["grid"]["n"] = 201
+        _set_key(cfg, key, value)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            rc = main(["run", _write_config(tmp_path / "job.json", cfg), "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the construction is not finite: ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
@@ -380,6 +446,8 @@ class TestConfigErrors:
         assert err.startswith(f"error: cannot write {out / blocked[0]}: ") and err.count("\n") == 1
         assert not _temp_files(out)
         assert not (out / "well_report.json").is_file()
+        # no artifact of the run is left beside the directories in the way
+        assert sorted(p.name for p in out.iterdir()) == sorted(blocked)
         _no_child_left()
 
     def test_writer_process_that_dies_exits_2_cleanly(self, tmp_path, capsys, monkeypatch):
