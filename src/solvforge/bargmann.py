@@ -37,7 +37,7 @@ integral identity and stays finite as gamma^2 approaches gamma_mu^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -99,7 +99,6 @@ class BargmannSeedSet:
     h: AnalyticExpr
     h_field: SampledField
     direction: Direction
-    seed_tol: float = field(default=SEED_RESIDUAL_TOL, repr=False)
 
     def __post_init__(self):
         m = len(self.seeds)
@@ -123,7 +122,7 @@ class BargmannSeedSet:
         for k, s in enumerate(self.seeds):
             if s.phi0.grid != grid:
                 raise GridMismatchError(f"seed {k} sampled on a different grid")
-            report = verify.residual(self.v0, self.h_field, s.phi0, tol=self.seed_tol)
+            report = verify.residual(self.v0, self.h_field, s.phi0, tol=SEED_RESIDUAL_TOL)
             if not report.passed:
                 raise SeedRejectedError(report, text=f"seed {k} (gamma^2={s.gamma_sq})")
 
@@ -148,13 +147,9 @@ def make_seed_set(
     v0: SampledField,
     h: AnalyticExpr,
     direction: Direction = Direction.FROM_LEFT,
-    *,
-    seed_tol: float = SEED_RESIDUAL_TOL,
 ) -> BargmannSeedSet:
     """Build a BargmannSeedSet, sampling the weight on the base grid."""
-    return BargmannSeedSet(
-        tuple(seeds), v0, h, evaluate_on_grid(h, v0.grid), direction, seed_tol
-    )
+    return BargmannSeedSet(tuple(seeds), v0, h, evaluate_on_grid(h, v0.grid), direction)
 
 
 @dataclass(frozen=True)

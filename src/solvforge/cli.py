@@ -341,10 +341,15 @@ def _read_samples(path: str, expected_header: list[str]) -> dict[str, np.ndarray
 # a fresh process with two eval_gammas (2-vCPU Xeon, Python 3.11, numpy 2.4):
 # bargmann with MAX_SEEDS = 8 seeds, 60/110/260 MB at n = 10001/30001/100001,
 # ~2.2 kB per node; multichannel with MAX_CHANNELS channels, 186/490/794 MB at
-# n = 10001/30001/50001, ~15 kB per node, plus ~1 kB per node for each further
-# eval_gammas entry.  At MAX_NODES that extrapolates to ~0.5 and ~3.1 GB.
+# n = 10001/30001/50001, ~15 kB per node.  At MAX_NODES that extrapolates to
+# ~0.5 and ~3.1 GB.  cmd_run holds every solution's columns until the write:
+# each further eval_gammas entry with MAX_CHANNELS channels adds ~1 kB per node
+# (+10 MB at n = 10001 and +30 MB at n = 30001 per entry, measured from 2 to 16
+# entries), so MAX_EVAL_GAMMAS entries add ~14 kB per node, ~2.9 GB extrapolated
+# to MAX_NODES, never run there.  The shipped configs use at most 5.
 MAX_NODES = 200_001
 MAX_CHANNELS = 8
+MAX_EVAL_GAMMAS = 16
 MIN_NODES = 7  # the residual stencil
 MAX_EXPR_DEPTH = 100  # deeper trees overflow the parser's or evaluator's recursion
 
@@ -520,7 +525,7 @@ def _read_config(cfg) -> _Config:
     if not isinstance(prefix, str) or prefix in (".", "..") or {"/", os.sep, "\0"} & set(prefix):
         raise ConfigError(f"output.prefix must be a plain file-name prefix, got {prefix!r}")
     tol = _tolerance(cfg, "tolerance", "tolerance")
-    gammas = _list(cfg.get("eval_gammas", []), "eval_gammas", entry)
+    gammas = _list(cfg.get("eval_gammas", []), "eval_gammas", entry, 0, MAX_EVAL_GAMMAS)
     return _Config(mode, grid, Direction(direction), tol, h, v0, seeds, gammas, out_dir, prefix)
 
 
@@ -720,8 +725,7 @@ def cmd_verify(args) -> int:
         SampledField(grid, sol["phi"], sol["dphi"]),
         CustomBC(float(sol["phi"][0]), float(sol["dphi"][0]), "left"),
     )
-    with np.errstate(over="ignore", invalid="ignore"):
-        rep = verify_mod.residual(vf, hf, phi, tol=tol)
+    rep = verify_mod.residual(vf, hf, phi, tol=tol)
     if not np.isfinite(rep.max_abs):
         raise ConfigError(f"{_where(args.solution, rep.argmax_node)}: the residual defect overflows")
     print(json.dumps({"gamma_sq": gamma_sq, **rep.to_dict()}, indent=2, sort_keys=True, allow_nan=False))

@@ -92,10 +92,12 @@ def log_det_potential(V0: SampledField, hf: SampledField, hdd, t, td, tdd) -> Sa
     the Darboux step, which adds the weight term, P for the chain, det P for
     a seed set); hdd is h'' and td, tdd are t', t''."""
     hv, hd = hf.values, hf.derivs
-    ratio = hd / hv
-    v = V0.values + ratio * t - 2.0 * td
-    ratio_d = hdd / hv - ratio * ratio
-    vd = V0.derivs + ratio_d * t + ratio * td - 2.0 * tdd
+    # a non-finite t (an overflowed factor) is rejected by the returned field
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratio = hd / hv
+        v = V0.values + ratio * t - 2.0 * td
+        ratio_d = hdd / hv - ratio * ratio
+        vd = V0.derivs + ratio_d * t + ratio * td - 2.0 * tdd
     return SampledField(V0.grid, v, vd)
 
 
@@ -235,19 +237,22 @@ def chain_second_step(
     gamma_prime_sq = seed.gamma_sq
 
     pref = signed_prefix(hf * seed.field * seed.field, direction)
-    P = 1.0 + C * pref.values
+    # -inf is caught below as non-positive, +inf as a non-finite potential
+    with np.errstate(over="ignore"):
+        P = 1.0 + C * pref.values
     bad = P <= 0.0
     if np.any(bad):
         raise SingularPotentialError(int(np.flatnonzero(bad)[0]), what="chain factor P")
 
-    ydd = (first.base_potential.values - gamma_prime_sq * hv) * y
-    N = C * hv * y * y
-    Nd = C * (hd * y * y + 2.0 * hv * y * yd)
-    Ndd = C * (hdd * y * y + 4.0 * hd * y * yd + 2.0 * hv * (yd * yd + y * ydd))
-
-    t = N / P
-    td = Nd / P - t * t
-    tdd = Ndd / P - 3.0 * N * Nd / (P * P) + 2.0 * t * t * t
+    # an overflow leaves a non-finite entry, which the potential's field rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        ydd = (first.base_potential.values - gamma_prime_sq * hv) * y
+        N = C * hv * y * y
+        Nd = C * (hd * y * y + 2.0 * hv * y * yd)
+        Ndd = C * (hdd * y * y + 4.0 * hd * y * yd + 2.0 * hv * (yd * yd + y * ydd))
+        t = N / P
+        td = Nd / P - t * t
+        tdd = Ndd / P - 3.0 * N * Nd / (P * P) + 2.0 * t * t * t
 
     potential = log_det_potential(first.base_potential, hf, hdd, t, td, tdd)
 

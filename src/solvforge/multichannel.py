@@ -31,15 +31,14 @@ run one channel at a time from zero, in the order of a running sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Sequence
+from dataclasses import dataclass
+from functools import cached_property, partial
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import verify
 from .errors import (
-    ConfigError,
     DuplicateSpectralError,
     GridMismatchError,
     NonUniformShiftError,
@@ -63,19 +62,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ChannelSystem:
-    """N-channel data: base potential matrix, weight, base solutions at the
-    seed spectra, and the spectral coefficients c.  v0 and phi0 are
-    (n, N, N) stacks."""
+    """N-channel data: base potential matrix, weight, the base as a map from
+    a spectrum (one gamma^2 per channel) to its solution matrix, the seed
+    spectra and the spectral coefficients c.  v0 and base(...) are (n, N, N)
+    stacks.  A diagonal base maps through the channel-wise solve
+    (diagonal_base_system); a transformed system is the next base through
+    partial(multichannel_solution, cs)."""
 
     grid: RadialGrid
     h: AnalyticExpr
     h_field: SampledField
     v0: SampledField
-    phi0: SampledField
+    base: Callable[[Sequence[float]], SampledField]
     gamma_prime_sq: tuple[float, ...]
     c: tuple[float, ...]
     direction: Direction = Direction.FROM_LEFT
-    seed_tol: float = field(default=SEED_RESIDUAL_TOL, repr=False)
 
     def __post_init__(self):
         n = len(self.gamma_prime_sq)
@@ -94,10 +95,15 @@ class ChannelSystem:
         if defect > 1e-12 * scale:
             raise ValueError(f"base potential matrix is not symmetric (defect {defect:.3e})")
         report = verify.matrix_residual(
-            self.v0, self.h_field, self.phi0, self.gamma_prime_sq, tol=self.seed_tol
+            self.v0, self.h_field, self.phi0, self.gamma_prime_sq, tol=SEED_RESIDUAL_TOL
         )
         if not report.passed:
             raise SeedRejectedError(report, text="base solution matrix")
+
+    @cached_property
+    def phi0(self) -> SampledField:
+        """The base solution matrix at the seed spectra, computed once per system."""
+        return self.base(self.gamma_prime_sq)
 
     @cached_property
     def psi0(self) -> SampledField:
@@ -112,10 +118,6 @@ class ChannelSystem:
     @property
     def n_channels(self) -> int:
         return len(self.gamma_prime_sq)
-
-    def is_diagonal_base(self) -> bool:
-        off_diagonal = ~np.eye(self.n_channels, dtype=bool)
-        return not np.any(self.v0.values[:, off_diagonal])
 
 
 def _channel_sum(terms: np.ndarray) -> np.ndarray:
@@ -139,8 +141,8 @@ def _diagonal_stack(grid: RadialGrid, fields) -> SampledField:
 def _diagonal_matrix_solutions(
     v0: SampledField,
     h_field: SampledField,
-    gamma_sq: Sequence[float],
     direction: Direction,
+    gamma_sq: Sequence[float],
 ) -> SampledField:
     """Base solution matrix for a diagonal potential: channels decouple, so
     entry (a, b) is delta_ab times the scalar solution of channel a."""
@@ -159,8 +161,6 @@ def diagonal_base_system(
     gamma_prime_sq: Sequence[float],
     c: Sequence[float],
     direction: Direction = Direction.FROM_LEFT,
-    *,
-    seed_tol: float = SEED_RESIDUAL_TOL,
 ) -> ChannelSystem:
     """Convenience builder for the decoupled (diagonal base) configuration."""
     n = len(v0_diagonal)
@@ -171,17 +171,15 @@ def diagonal_base_system(
     v0 = _diagonal_stack(grid, [
         evaluate_on_grid(parse(e) if isinstance(e, str) else e, grid) for e in v0_diagonal
     ])
-    phi0 = _diagonal_matrix_solutions(v0, h_field, gamma_prime_sq, direction)
     return ChannelSystem(
         grid,
         h_expr,
         h_field,
         v0,
-        phi0,
+        partial(_diagonal_matrix_solutions, v0, h_field, direction),
         tuple(float(g) for g in gamma_prime_sq),
         tuple(float(x) for x in c),
         direction,
-        seed_tol,
     )
 
 
@@ -189,9 +187,10 @@ def seed_vectors(cs: ChannelSystem) -> SampledField:
     """psi0_a = sum_b phi0_ab c_b as an (n, N) stack, with exact derivative
     channels."""
     c = np.asarray(cs.c)
-    return SampledField(
-        cs.grid, _channel_sum(cs.phi0.values * c), _channel_sum(cs.phi0.derivs * c)
-    )
+    # an overflow leaves a non-finite entry, which SampledField rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, derivs = _channel_sum(cs.phi0.values * c), _channel_sum(cs.phi0.derivs * c)
+    return SampledField(cs.grid, values, derivs)
 
 
 def transform_denominator(cs: ChannelSystem) -> SampledField:
@@ -200,10 +199,13 @@ def transform_denominator(cs: ChannelSystem) -> SampledField:
     Monotone nondecreasing from the anchor for the from-left direction; a
     non-positive value (possible only from-right) raises."""
     p, pd = cs.psi0.values, cs.psi0.derivs
-    g = _channel_sum(p * p)
-    gd = _channel_sum(pd * p + p * pd)
     hv, hd = cs.h_field.values, cs.h_field.derivs
-    d = 1.0 + signed_prefix(SampledField(cs.grid, hv * g, hd * g + hv * gd), cs.direction)
+    # an overflow leaves a non-finite entry, which SampledField rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _channel_sum(p * p)
+        gd = _channel_sum(pd * p + p * pd)
+        values, derivs = hv * g, hd * g + hv * gd
+    d = 1.0 + signed_prefix(SampledField(cs.grid, values, derivs), cs.direction)
     if np.any(d.values <= 0.0):
         raise SingularPotentialError(
             int(np.flatnonzero(d.values <= 0.0)[0]), what="transform denominator D"
@@ -215,7 +217,10 @@ def transformed_seed_vectors(cs: ChannelSystem) -> SampledField:
     """psi_a = psi0_a / D, an (n, N) stack."""
     p = cs.psi0
     d, dd = cs.denominator.values[:, None], cs.denominator.derivs[:, None]
-    return SampledField(cs.grid, p.values / d, (p.derivs * d - p.values * dd) / (d * d))
+    # an overflow leaves a non-finite entry, which SampledField rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, derivs = p.values / d, (p.derivs * d - p.values * dd) / (d * d)
+    return SampledField(cs.grid, values, derivs)
 
 
 def _psi_arrays(cs: ChannelSystem):
@@ -255,15 +260,17 @@ def multichannel_potential(cs: ChannelSystem) -> SampledField:
     derivatives taken from the carried channels and the second derivatives
     supplied by the governing equations, so the derivative channel is exact.
     """
-    p0, p0d, p0dd, p, pd, pdd = _psi_arrays(cs)
     hv = cs.h_field.values[:, None, None]
     hd = cs.h_field.derivs[:, None, None]
     hdd = cs.h.jet(cs.grid.r, 2)[2][:, None, None]
-    g = _outer(p, p0)
-    gd = _outer(pd, p0) + _outer(p, p0d)
-    gdd = _outer(pdd, p0) + _outer(2.0 * pd, p0d) + _outer(p, p0dd)
-    v = cs.v0.values - 2.0 * hv * gd - hd * g
-    vd = cs.v0.derivs - 3.0 * hd * gd - 2.0 * hv * gdd - hdd * g
+    # an overflow leaves a non-finite entry, which SampledField rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        p0, p0d, p0dd, p, pd, pdd = _psi_arrays(cs)
+        g = _outer(p, p0)
+        gd = _outer(pd, p0) + _outer(p, p0d)
+        gdd = _outer(pdd, p0) + _outer(2.0 * pd, p0d) + _outer(p, p0dd)
+        v = cs.v0.values - 2.0 * hv * gd - hd * g
+        vd = cs.v0.derivs - 3.0 * hd * gd - 2.0 * hv * gdd - hdd * g
     return SampledField(cs.grid, v, vd)
 
 
@@ -285,16 +292,14 @@ def multichannel_solution(
     cs: ChannelSystem,
     gamma_sq_new: Sequence[float],
     *,
-    phi0_new: SampledField | None = None,
     form: str = "integral",
 ) -> SampledField:
     """Transformed solution matrix at a rigidly shifted spectrum, (n, N, N).
 
-    phi_ab = phi0_ab(new) - psi_a T_b, where T_b sums the transform kernel
-    over channels; `form` selects the prefix-integral kernel (default, valid
-    for any shift) or the Wronskian kernel (equivalent, but undefined at zero
-    shift).  When phi0_new is omitted the base matrix at the new spectrum is
-    solved channel-wise, which requires a diagonal base potential.
+    phi_ab = phi0_ab(new) - psi_a T_b, where phi0(new) is cs.base at the new
+    spectrum and T_b sums the transform kernel over channels; `form` selects
+    the prefix-integral kernel (default, valid for any shift) or the
+    Wronskian kernel (equivalent, but undefined at zero shift).
     """
     delta = _check_uniform_shift(cs, gamma_sq_new)
     if form not in ("integral", "wronskian"):
@@ -303,18 +308,12 @@ def multichannel_solution(
         raise DuplicateSpectralError(
             "the Wronskian form is singular at zero shift; use the integral form"
         )
-    if phi0_new is None:
-        if not cs.is_diagonal_base():
-            raise ConfigError(
-                "base potential is not diagonal; supply phi0_new explicitly"
-            )
-        phi0_new = _diagonal_matrix_solutions(cs.v0, cs.h_field, gamma_sq_new, cs.direction)
-
+    phi0 = cs.base(gamma_sq_new)
     psi0 = cs.psi0
     psi = transformed_seed_vectors(cs)
     # entry [:, b, j] of the transposed stacks is phi0_jb: sums run over j
-    fv = phi0_new.values.transpose(0, 2, 1)
-    fd = phi0_new.derivs.transpose(0, 2, 1)
+    fv = phi0.values.transpose(0, 2, 1)
+    fd = phi0.derivs.transpose(0, 2, 1)
     hv, hd = cs.h_field.values[:, None], cs.h_field.derivs[:, None]
     hp = hv * psi0.values
     hpd = hd * psi0.values + hv * psi0.derivs
@@ -327,6 +326,6 @@ def multichannel_solution(
         p, pd = psi0.values[:, None, :], psi0.derivs[:, None, :]
         tvals = _channel_sum(p * fd - pd * fv) / (-delta)
 
-    out = phi0_new.values - _outer(psi.values, tvals)
-    outd = phi0_new.derivs - _outer(psi.derivs, tvals) - _outer(psi.values, tders)
+    out = phi0.values - _outer(psi.values, tvals)
+    outd = phi0.derivs - _outer(psi.derivs, tvals) - _outer(psi.values, tders)
     return SampledField(cs.grid, out, outd)

@@ -45,8 +45,9 @@ __all__ = [
     "SEED_RESIDUAL_TOL",
 ]
 
-#: default residual tolerance for accepting a seed, relative to the
-#: problem scale max|gamma^2 h phi| + 1
+#: residual tolerance of every seed gate (analytic seeds, Bargmann seed
+#: sets, multichannel base solutions), relative to the problem scale
+#: max|gamma^2 h phi| + 1
 SEED_RESIDUAL_TOL = 1e-6
 
 #: values beyond this magnitude are treated as blow-up
@@ -141,10 +142,12 @@ def solve(
     _check_inputs(V, h)
     g = V.grid
     step = g.step
-    q = V.values - gamma_sq * h.values
-    qd = V.derivs - gamma_sq * h.derivs
-    # cubic Hermite midpoint, error O(step^4)
-    qm = 0.5 * (q[:-1] + q[1:]) + (step / 8.0) * (qd[:-1] - qd[1:])
+    # an overflow here propagates through the kernel and is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = V.values - gamma_sq * h.values
+        qd = V.derivs - gamma_sq * h.derivs
+        # cubic Hermite midpoint, error O(step^4)
+        qm = 0.5 * (q[:-1] + q[1:]) + (step / 8.0) * (qd[:-1] - qd[1:])
 
     if isinstance(bc, RegularAtLeft):
         value, slope, backward = 0.0, 1.0, False
@@ -190,13 +193,12 @@ def seed_from_expression(
     gamma_sq: float,
     V0: SampledField,
     h: SampledField,
-    tol: float = SEED_RESIDUAL_TOL,
 ) -> Solution:
     """Sample an analytic seed and validate it against its claimed base problem.
 
     The candidate is accepted only if the independent residual check of
-    -y'' + V0 y = gamma_sq h y passes at `tol`; otherwise SeedRejectedError
-    carries the residual report.  This prevents constructing potentials from
+    -y'' + V0 y = gamma_sq h y passes at SEED_RESIDUAL_TOL; otherwise
+    SeedRejectedError carries the residual report.  This prevents constructing potentials from
     functions that do not actually solve the base equation.
     """
     e = parse(y_text) if isinstance(y_text, str) else y_text
@@ -206,7 +208,7 @@ def seed_from_expression(
         field,
         CustomBC(float(field.values[0]), float(field.derivs[0]), "left"),
     )
-    report = verify.residual(V0, h, sol, tol=tol)
+    report = verify.residual(V0, h, sol, tol=SEED_RESIDUAL_TOL)
     if not report.passed:
         raise SeedRejectedError(report, text=str(e))
     return sol

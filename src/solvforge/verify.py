@@ -103,10 +103,12 @@ def residual(
     if g.n < 7:
         raise GridTooSmallError(f"residual stencil needs at least 7 nodes, got {g.n}")
     vals = phi.field.values
-    d2 = _second_derivative(vals, g.step)
-    q = V.values - phi.gamma_sq * h.values
-    defect = -d2 + q[2:-2] * vals[2:-2]
-    scale = float(np.max(np.abs(phi.gamma_sq * h.values * vals))) + 1.0
+    # _report places a defect that overflowed at its first non-finite node
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        d2 = _second_derivative(vals, g.step)
+        q = V.values - phi.gamma_sq * h.values
+        defect = -d2 + q[2:-2] * vals[2:-2]
+        scale = float(np.max(np.abs(phi.gamma_sq * h.values * vals))) + 1.0
     return _report(defect, scale, tol, offset=2)
 
 
@@ -139,12 +141,13 @@ def matrix_residual(
         raise GridTooSmallError(f"residual stencil needs at least 7 nodes, got {g.n}")
     gam = np.asarray(gamma_sq, dtype=float)
 
-    # the coupling sum runs over k in order, from zero
-    coupling = sum(v[:, :, k, None] * phi[:, None, k, :] for k in range(n_rows))
-    rhs = gam[:, None] * h.values[:, None, None] * phi
-    defect = -_second_derivative(phi, g.step) + coupling[2:-2] - rhs[2:-2]
-
-    scale = float(np.max(np.abs(rhs))) + 1.0
+    # _report places a defect that overflowed at its first non-finite node
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        # the coupling sum runs over k in order, from zero
+        coupling = sum(v[:, :, k, None] * phi[:, None, k, :] for k in range(n_rows))
+        rhs = gam[:, None] * h.values[:, None, None] * phi
+        defect = -_second_derivative(phi, g.step) + coupling[2:-2] - rhs[2:-2]
+        scale = float(np.max(np.abs(rhs))) + 1.0
     # the worst entry at each node
     per_node = np.abs(defect).reshape(defect.shape[0], -1).max(axis=1)
     return _report(per_node, scale, tol, offset=2)

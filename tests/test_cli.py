@@ -324,6 +324,15 @@ class TestRunOtherModes:
         ]
 
 
+def _run_shipped_at_201_nodes(tmp_path, name, key, value):
+    """`forge run` on configs/<name>.json at n = 201 with one key set: (exit code, out dir)."""
+    out = tmp_path / "out"
+    cfg = json.loads((REPO / "configs" / f"{name}.json").read_text())
+    cfg["grid"]["n"] = 201
+    _set_key(cfg, key, value)
+    return main(["run", _write_config(tmp_path / "job.json", cfg), "--out-dir", str(out)]), out
+
+
 class TestConfigErrors:
     def test_missing_mode(self, tmp_path):
         rc = main(["run", _write_config(tmp_path / "job.json", {"grid": {"a": 0, "b": 1, "n": 11}})])
@@ -369,6 +378,7 @@ class TestConfigErrors:
             ("darboux", "grid.n", cli.MAX_NODES + 1),
             ("channels", "base.V0", ["0"] * (cli.MAX_CHANNELS + 1)),
             ("multichannel", "eval_gammas.1", [1.5]),
+            ("darboux", "eval_gammas", [1.0] * (cli.MAX_EVAL_GAMMAS + 1)),
         ],
         ids=["tol-string", "tol-nan", "tol-negative", "gamma-string", "seed-not-object",
              "multichannel-gamma-strings", "multichannel-gamma-prime-list",
@@ -377,7 +387,8 @@ class TestConfigErrors:
              "bc-value-string", "bc-value-nan",
              "tolerance-misspelt", "unknown-key", "unknown-seed-key", "darboux-seed-with-C",
              "seed-with-expr-and-bc", "too-many-bargmann-seeds", "n-below-the-stencil",
-             "n-above-the-bound", "too-many-channels", "multichannel-gamma-entry-too-short"],
+             "n-above-the-bound", "too-many-channels", "multichannel-gamma-entry-too-short",
+             "too-many-eval-gammas"],
     )
     def test_malformed_value_exits_2_cleanly(self, tmp_path, capsys, monkeypatch, config, key, value):
         def computed(*args, **kwargs):
@@ -395,7 +406,7 @@ class TestConfigErrors:
         assert not out.exists()
 
     # shipped configs on 201 nodes whose construction overflows; the library
-    # refuses such a field with ValueError
+    # refuses such a field with ValueError (a numpy warning fails the test)
     @pytest.mark.parametrize(
         "name, key, value",
         [("chain_vs_single_seed", "seeds.0.gamma_sq", -871.6),
@@ -403,16 +414,25 @@ class TestConfigErrors:
         ids=["chain-seed-overflows", "multichannel-c-overflows"],
     )
     def test_overflowing_construction_exits_2_cleanly(self, tmp_path, capsys, name, key, value):
-        out = tmp_path / "out"
-        cfg = json.loads((REPO / "configs" / f"{name}.json").read_text())
-        cfg["grid"]["n"] = 201
-        _set_key(cfg, key, value)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            rc = main(["run", _write_config(tmp_path / "job.json", cfg), "--out-dir", str(out)])
+        rc, out = _run_shipped_at_201_nodes(tmp_path, name, key, value)
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: the construction is not finite: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    # the same, where the overflow is caught as a blow-up or a singular factor
+    @pytest.mark.parametrize(
+        "name, key, value, message",
+        [("quartic_weight", "eval_gammas", [-1.7e308], "integration blew up at node 1"),
+         ("chain_vs_single_seed", "seeds.0.C", -1.7e308,
+          "chain factor P is singular or changes sign at node 1")],
+        ids=["eval-gamma-overflows", "chain-C-overflows"],
+    )
+    def test_overflowing_construction_exits_3_cleanly(self, tmp_path, capsys, name, key, value,
+                                                      message):
+        rc, out = _run_shipped_at_201_nodes(tmp_path, name, key, value)
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     def test_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):

@@ -1,16 +1,16 @@
 """Coupled-channel transform."""
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
 
-from conftest import const, fd4, field_of
+from conftest import const, fd4
 from solvforge import (
     REGULAR_AT_LEFT,
     BargmannSeed,
     ChannelSystem,
-    ConfigError,
     Direction,
     DuplicateSpectralError,
     NonUniformShiftError,
@@ -200,7 +200,7 @@ class TestPotentialMatrix:
             ChannelSystem(
                 g, h_expr, hf,
                 SampledField(g, v0, np.zeros((g.n, 2, 2))),
-                SampledField(g, phi, dphi),
+                lambda gamma_sq: SampledField(g, phi, dphi),
                 (-1.0, -1.0),
                 (0.5, 0.5),
             )
@@ -290,17 +290,52 @@ class TestSolutionMatrix:
         rep = matrix_residual(v, cs.h_field, phi, gnew, tol=1e-5)
         assert rep.passed
 
-    def test_coupled_base_needs_explicit_solutions(self, two_channel):
-        cs = two_channel
-        # fabricate a coupled system by symmetric off-diagonal entries
-        off = field_of("0.1*exp(-r)", cs.grid)
-        vals, ders = cs.v0.values.copy(), cs.v0.derivs.copy()
-        vals[:, 0, 1] = vals[:, 1, 0] = off.values
-        ders[:, 0, 1] = ders[:, 1, 0] = off.derivs
-        v0 = SampledField(cs.grid, vals, ders)
-        coupled = ChannelSystem(
-            cs.grid, cs.h, cs.h_field, v0, cs.phi0, cs.gamma_prime_sq, cs.c,
-            seed_tol=1.0,  # base matrix no longer solves this V0; skip that gate
-        )
-        with pytest.raises(ConfigError):
-            multichannel_solution(coupled, [gp + 1.0 for gp in cs.gamma_prime_sq])
+
+# Two composed steps: step 1 is a diagonal-base system, step 2 takes step 1's
+# potential V1 as its base and step 1's solution map as its base solutions.
+# V1's off-diagonal entry is not small, so step 2 runs on a coupled base.
+# (frame: step 1's base, interval, seeds; step 2's shift of the seed spectra,
+# its c; three rigid shifts of step 2's spectra and the shift for the forms)
+COMPOSED_FRAMES = {
+    "from_left": (
+        dict(v0_diagonal=["0", "-2/(1+r)^2"], h="1 + exp(-r)", gamma_prime_sq=[-1.0, -1.5],
+             c=[0.6, 0.4], direction=Direction.FROM_LEFT),
+        (0.0, 5.0), -0.7, (0.5, 0.3), (1.0, 2.5, -0.5), 1.7,
+    ),
+    "from_right": (
+        dict(v0_diagonal=["0", "0.2*exp(-r)"], h="1", gamma_prime_sq=[-1.0, -2.25],
+             c=[0.5, 0.4], direction=Direction.FROM_RIGHT),
+        (0.0, 10.0), -0.5, (0.45, 0.35), (-0.3, -0.75, -1.5), -0.75,
+    ),
+}
+
+
+@pytest.mark.parametrize("frame, n", [
+    ("from_left", 2501), ("from_left", 5001), ("from_left", 10001),
+    ("from_right", 5001), ("from_right", 10001), ("from_right", 20001),
+])
+def test_two_steps_on_a_coupled_base(frame, n):
+    step1, (a, b), shift, c2, deltas, forms_delta = COMPOSED_FRAMES[frame]
+    cs1 = diagonal_base_system(grid=RadialGrid(a, b, n), **step1)
+    v1 = multichannel_potential(cs1)
+    assert np.max(np.abs(v1.values[:, 0, 1])) > 1.0
+    # the constructor checks step 1's map at the new seed spectra against V1
+    cs2 = ChannelSystem(
+        cs1.grid, cs1.h, cs1.h_field, v1, partial(multichannel_solution, cs1),
+        tuple(gp + shift for gp in cs1.gamma_prime_sq), c2, cs1.direction,
+    )
+    v2 = multichannel_potential(cs2)
+    assert np.max(np.abs(v2.values - v2.values.transpose(0, 2, 1))) < 1e-12
+    rep = matrix_residual(v2, cs2.h_field, transformed_seed_vectors(cs2), cs2.gamma_prime_sq,
+                          tol=1e-5)
+    assert rep.passed
+    for delta in deltas:
+        gnew = [gp + delta for gp in cs2.gamma_prime_sq]
+        rep = matrix_residual(v2, cs2.h_field, multichannel_solution(cs2, gnew), gnew, tol=1e-5)
+        assert rep.passed, f"delta={delta}"
+    gnew = [gp + forms_delta for gp in cs2.gamma_prime_sq]
+    gap = np.max(np.abs(
+        multichannel_solution(cs2, gnew).values
+        - multichannel_solution(cs2, gnew, form="wronskian").values
+    ))
+    assert gap < 1e-7
