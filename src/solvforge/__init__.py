@@ -79,6 +79,7 @@ from .multichannel import (
     diagonal_base_system,
     multichannel_potential,
     multichannel_solution,
+    multichannel_solutions,
     seed_vectors,
     transform_denominator,
     transformed_seed_vectors,
@@ -139,6 +140,7 @@ __all__ = [
     "transformed_seed_vectors",
     "multichannel_potential",
     "multichannel_solution",
+    "multichannel_solutions",
     # errors
     "ForgeError",
     "ExprSyntaxError",

@@ -141,6 +141,14 @@ class BargmannSeedSet:
             arr.flags.writeable = False
         return phi, dphi, coeff, gam
 
+    @cached_property
+    def _ddphi(self):
+        """phi_mu'' of every seed from the governing equation, (n, M)."""
+        phi, _, _, gam = self._stacked
+        ddphi = (self.v0.values[:, None] - gam[None, :] * self.h_field.values[:, None]) * phi
+        ddphi.flags.writeable = False
+        return ddphi
+
 
 def make_seed_set(
     seeds: Sequence[BargmannSeed],
@@ -154,9 +162,16 @@ def make_seed_set(
 
 @dataclass(frozen=True)
 class PMatrix:
-    """Node-wise P matrix, its inverse and determinant, and the seed images.
+    """Node-wise P matrix, its LU factors and determinant, and the seed images.
 
-    images[:, mu] is the bound-type solution y_mu at gamma_mu^2 and
+    P is assembled entry-major, (M, M, n), so that every entry is one
+    contiguous row over the nodes; `entries` is the (n, M, M) view of it.
+    `lu` holds the factors of P with partial pivoting (unit-lower L below the
+    diagonal, U on and above it) and `swaps` the row exchanges of each pivot
+    column.  `jacobi[j]` is u_j = P^{-1} diag(C) phi^(j) for j = 0, 1, 2, the
+    vectors of Jacobi's formula.
+
+    images[:, mu] = u0 is the bound-type solution y_mu at gamma_mu^2 and
     images_deriv its exact derivative.  y = P^{-1} c (c_nu = C_nu phi_nu) is
     the orientation forced by self-consistency of the transform ansatz at the
     seed parameters: (I + diag(C) K) y = c with the symmetric
@@ -164,15 +179,27 @@ class PMatrix:
     """
 
     entries: np.ndarray  # (n, M, M)
-    inv: np.ndarray  # (n, M, M)
+    lu: np.ndarray  # (M, M, n)
+    swaps: tuple  # per pivot column k: (nodes, rows) exchanged with row k
     det: np.ndarray  # (n,)
-    images: np.ndarray  # (n, M)
+    jacobi: np.ndarray  # (3, n, M)
     images_deriv: np.ndarray  # (n, M)
     direction: Direction
 
     @property
     def m(self) -> int:
         return self.entries.shape[1]
+
+    @property
+    def images(self) -> np.ndarray:
+        return self.jacobi[0]
+
+    @cached_property
+    def inv(self) -> np.ndarray:
+        """P^{-1} at every node, (n, M, M), solved from the factors on request."""
+        m, n = self.m, self.lu.shape[2]
+        eye = np.broadcast_to(np.eye(m)[:, :, None], (m, m, n)).copy()
+        return _lu_solve(self.lu, self.swaps, eye).transpose(2, 0, 1)
 
     def condition_summary(self) -> dict:
         norm = np.abs(self.entries).sum(axis=2).max(axis=1)
@@ -201,9 +228,66 @@ def _seed_prefix(sset: BargmannSeedSet, g, dg) -> SampledField:
     return signed_prefix(f, sset.direction)
 
 
-def _apply(inv: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Node-wise P^{-1} v for an (n, M) stack of vectors."""
-    return np.einsum("nmv,nv->nm", inv, v)
+def _swap_rows(x: np.ndarray, k: int, rows: np.ndarray, nodes: np.ndarray) -> None:
+    """Exchange row k with row rows[i] at node nodes[i] of an (M, ..., n) stack."""
+    held = x[k, ..., nodes]
+    x[k, ..., nodes] = x[rows, ..., nodes]
+    x[rows, ..., nodes] = held
+
+
+def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """In-place LU factorization with partial pivoting of an (M, M, n) stack.
+
+    Every node is factored on its own (Golub & Van Loan, Matrix Computations,
+    sec. 3.4); each step is one whole-array operation over the node axis.  The
+    pivot of column k is the first entry of largest modulus on or below the
+    diagonal, and the multipliers are scaled by the reciprocal pivot.  Returns
+    det P (the permutation's sign times the product of U's diagonal) at every
+    node and the row exchanges.
+    """
+    m, n = a.shape[0], a.shape[2]
+    det = np.ones(n)
+    swaps = []
+    for k in range(m):
+        rows = np.full(n, k)
+        pivot = np.abs(a[k, k])
+        for i in range(k + 1, m):
+            cand = np.abs(a[i, k])
+            rows[cand > pivot] = i
+            np.maximum(pivot, cand, out=pivot)
+        nodes = np.flatnonzero(rows != k)
+        rows = rows[nodes]
+        if nodes.size:
+            _swap_rows(a, k, rows, nodes)
+            det[nodes] = -det[nodes]
+        swaps.append((nodes, rows))
+        if k + 1 < m:
+            rpiv = 1.0 / a[k, k]
+            for i in range(k + 1, m):
+                a[i, k] *= rpiv
+                a[i, k + 1:] -= a[i, k] * a[k, k + 1:]
+    for k in range(m):
+        det *= a[k, k]
+    return det, tuple(swaps)
+
+
+def _lu_solve(lu: np.ndarray, swaps: tuple, b: np.ndarray) -> np.ndarray:
+    """Solve P x = b in place for an (M, k, n) stack of right-hand sides.
+
+    U's diagonal enters through its reciprocal, as in the multipliers.
+    """
+    m = lu.shape[0]
+    for k, (nodes, rows) in enumerate(swaps):
+        if nodes.size:
+            _swap_rows(b, k, rows, nodes)
+    for i in range(1, m):
+        for j in range(i):
+            b[i] -= lu[i, j] * b[j]
+    for i in reversed(range(m)):
+        for j in range(i + 1, m):
+            b[i] -= lu[i, j] * b[j]
+        b[i] *= 1.0 / lu[i, i]
+    return b
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -211,34 +295,50 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def p_matrix(sset: BargmannSeedSet) -> PMatrix:
-    """Assemble P(r) at every node, invert it (LU with partial pivoting) and
-    map the seeds to their images y = P^{-1} c.
+    """Assemble P(r) at every node, factor it once (LU with partial pivoting)
+    and solve for the Jacobi vectors u_j, whose first is the seed images
+    y = P^{-1} c.
 
-    det P must be nonzero and of constant sign across the grid; a zero
-    crossing raises SingularPotentialError naming the node.
+    det P must be nonzero, finite and of constant sign across the grid;
+    otherwise SingularPotentialError names the first bad node.
     """
     phi, dphi, coeff, gam = sset._stacked
-    m = phi.shape[1]
+    n, m = phi.shape
 
     denom = gam[:, None] - gam[None, :]
     np.fill_diagonal(denom, 1.0)
-    entries = np.einsum("ni,nj->nij", phi, dphi) - np.einsum("ni,nj->nij", dphi, phi)
-    entries *= coeff[:, None]
-    entries /= denom
-    entries += np.eye(m)
-    entries[:, np.arange(m), np.arange(m)] = 1.0 + coeff * _seed_prefix(sset, phi, dphi).values
+    eye = np.eye(m)
+    diag = 1.0 + coeff * _seed_prefix(sset, phi, dphi).values
+    phi_t, dphi_t = np.ascontiguousarray(phi.T), np.ascontiguousarray(dphi.T)
+    # row i, entry j: C_i W{phi_i, phi_j} / (gamma_i^2 - gamma_j^2) + delta_ij,
+    # then the prefix form on the diagonal.  delta_ij is added to every entry
+    # because adding 0.0 turns an off-diagonal -0.0 into +0.0, a bit of P.
+    p = np.empty((m, m, n))
+    for i in range(m):
+        row = p[i]
+        np.multiply(phi_t[i], dphi_t, out=row)
+        row -= dphi_t[i] * phi_t
+        row *= coeff[i]
+        row /= denom[i][:, None]
+        row += eye[i][:, None]
+        row[i] = diag[:, i]
 
-    det = np.linalg.det(entries)
-    tiny = np.abs(det) < np.finfo(float).tiny
-    flip = np.sign(det) != np.sign(det[0])
-    bad = tiny | flip
+    lu = p.copy()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        det, swaps = _lu_factor(lu)
+    bad = ~np.isfinite(det) | (np.abs(det) < np.finfo(float).tiny)
+    bad |= np.sign(det) != np.sign(det[0])
     if np.any(bad):
         raise SingularPotentialError(int(np.flatnonzero(bad)[0]), what="det P")
 
-    inv = np.linalg.inv(entries)
-    yv = _apply(inv, coeff * phi)
-    yd = _apply(inv, coeff * dphi) - (sset.h_field.values * _dot(phi, yv))[:, None] * yv
-    return PMatrix(entries, inv, det, yv, yd, sset.direction)
+    rhs = np.empty((m, 3, n))
+    for j, f in enumerate((phi_t, dphi_t, sset._ddphi.T)):
+        np.multiply(coeff[:, None], f, out=rhs[:, j])
+    u = _lu_solve(lu, swaps, rhs)
+    jacobi = np.ascontiguousarray(u.transpose(1, 2, 0))
+    yv = jacobi[0]
+    yd = jacobi[1] - (sset.h_field.values * _dot(phi, yv))[:, None] * yv
+    return PMatrix(p.transpose(2, 0, 1), lu, swaps, det, jacobi, yd, sset.direction)
 
 
 def bargmann_potential(sset: BargmannSeedSet, pm: PMatrix | None = None) -> SampledField:
@@ -250,17 +350,13 @@ def bargmann_potential(sset: BargmannSeedSet, pm: PMatrix | None = None) -> Samp
     """
     if pm is None:
         pm = p_matrix(sset)
-    phi, dphi, coeff, gam = sset._stacked
+    phi, dphi = sset._stacked[:2]
     hf = sset.h_field
     hv, hd = hf.values, hf.derivs
     hdd = sset.h.jet(sset.grid.r, 2)[2]
 
-    # second derivatives of the base solutions via the governing equation
-    ddphi = (sset.v0.values[:, None] - gam[None, :] * hv[:, None]) * phi
-
-    u0 = pm.images
-    u1 = _apply(pm.inv, coeff * dphi)
-    u2 = _apply(pm.inv, coeff * ddphi)
+    ddphi = sset._ddphi
+    u0, u1, u2 = pm.jacobi
     s00 = _dot(phi, u0)
     s_1 = _dot(phi, u1) + _dot(dphi, u0)
     t = hv * s00

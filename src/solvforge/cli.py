@@ -60,6 +60,7 @@ from .multichannel import (
     diagonal_base_system,
     multichannel_potential,
     multichannel_solution,
+    multichannel_solutions,
     transformed_seed_vectors,
 )
 from .solver import (
@@ -496,9 +497,10 @@ def _read_config(cfg) -> _Config:
     if isinstance(n, bool) or not isinstance(n, int) or not MIN_NODES <= n <= MAX_NODES:
         raise ConfigError(f"grid: n must be an integer from {MIN_NODES} to {MAX_NODES}, got {n!r}")
     a, b = _number(g["a"], "grid: key 'a'"), _number(g["b"], "grid: key 'b'")
-    if not a < b:
-        raise ConfigError(f"grid: need a < b, got a={a}, b={b}")
-    grid = RadialGrid(a, b, n)
+    try:
+        grid = RadialGrid(a, b, n)
+    except ValueError as exc:
+        raise ConfigError(f"grid: {exc}") from exc
     direction = cfg.get("direction", "from_left")
     if direction not in ("from_left", "from_right"):
         raise ConfigError(f"direction must be 'from_left' or 'from_right', got {direction!r}")
@@ -624,10 +626,12 @@ def _multichannel(cfg: _Config) -> _Job:
     )
 
     def evaluate(gnew):
-        phi = multichannel_solution(cs, gnew)
         gap = 0.0
         if abs(gnew[0] - cs.gamma_prime_sq[0]) >= 1e-8:
-            gap = _sup(phi.values - multichannel_solution(cs, gnew, form="wronskian").values)
+            phi, phi_w = multichannel_solutions(cs, gnew, ("integral", "wronskian"))
+            gap = _sup(phi.values - phi_w.values)
+        else:
+            phi = multichannel_solution(cs, gnew)
         rep = verify_mod.matrix_residual(vmat, cs.h_field, phi, gnew, tol=cfg.tol)
         # row-major entries, each as a (phi, dphi) column pair
         pairs = np.stack([phi.values, phi.derivs], axis=-1).reshape(cfg.grid.n, -1)
@@ -712,7 +716,10 @@ def cmd_verify(args) -> int:
     # `not <=` also rejects the nan of an overflowed step
     if not deviation <= 1e-9 * max(1.0, abs(r[-1])):
         raise ConfigError("grid is not uniform")
-    grid = RadialGrid(float(r[0]), float(r[-1]), int(r.size))
+    try:
+        grid = RadialGrid(float(r[0]), float(r[-1]), int(r.size))
+    except ValueError as exc:
+        raise ConfigError(f"{args.potential}: grid: {exc}") from exc
     bad = np.flatnonzero(~np.isfinite(dV))
     if bad.size:
         raise ConfigError(f"{_where(args.potential, int(bad[0]))}: the finite-difference V' overflows")

@@ -51,6 +51,13 @@ class RadialGrid:
             raise ValueError(f"need a < b, got a={self.a}, b={self.b}")
         if self.n < 3:
             raise ValueError(f"need at least 3 nodes, got n={self.n}")
+        span = float(self.b) - float(self.a)
+        if not np.isfinite(span):
+            raise ValueError(f"the span b - a overflows, a={self.a}, b={self.b}")
+        # 12 step^2 divides the fourth-order stencils of the residual oracle
+        step = span / (self.n - 1)
+        if 12.0 * step * step < np.finfo(float).tiny:
+            raise ValueError(f"the step {step:.3g} is too small: 12*step^2 underflows")
 
     @property
     def step(self) -> float:
@@ -223,7 +230,8 @@ def signed_prefix(f: SampledField, direction: Direction) -> SampledField:
     derivative is +f in both cases, which is the form entering the Wronskian
     integral identity and the P-matrix diagonal.
     """
-    out = integrate_prefix(f, direction)
-    if direction is Direction.FROM_RIGHT:
-        return -out
-    return out
+    if direction is Direction.FROM_LEFT:
+        return integrate_prefix(f, direction)
+    # negation is exact, so this is -integrate_prefix(f, FROM_RIGHT) bit for bit
+    rev = _prefix_from_left(f.values[::-1], -f.derivs[::-1], f.grid.step)
+    return SampledField(f.grid, -rev[::-1], f.values)

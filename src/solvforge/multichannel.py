@@ -57,6 +57,7 @@ __all__ = [
     "transformed_seed_vectors",
     "multichannel_potential",
     "multichannel_solution",
+    "multichannel_solutions",
 ]
 
 
@@ -301,13 +302,23 @@ def multichannel_solution(
     the prefix-integral kernel (default, valid for any shift) or the
     Wronskian kernel (equivalent, but undefined at zero shift).
     """
+    return multichannel_solutions(cs, gamma_sq_new, (form,))[0]
+
+
+def multichannel_solutions(
+    cs: ChannelSystem,
+    gamma_sq_new: Sequence[float],
+    forms: Sequence[str],
+) -> tuple[SampledField, ...]:
+    """multichannel_solution in each of `forms`, from one evaluation of the base."""
     delta = _check_uniform_shift(cs, gamma_sq_new)
-    if form not in ("integral", "wronskian"):
-        raise ValueError("form must be 'integral' or 'wronskian'")
-    if form == "wronskian" and abs(delta) < 1e-8:
-        raise DuplicateSpectralError(
-            "the Wronskian form is singular at zero shift; use the integral form"
-        )
+    for form in forms:
+        if form not in ("integral", "wronskian"):
+            raise ValueError("form must be 'integral' or 'wronskian'")
+        if form == "wronskian" and abs(delta) < 1e-8:
+            raise DuplicateSpectralError(
+                "the Wronskian form is singular at zero shift; use the integral form"
+            )
     phi0 = cs.base(gamma_sq_new)
     psi0 = cs.psi0
     psi = transformed_seed_vectors(cs)
@@ -319,13 +330,15 @@ def multichannel_solution(
     hpd = hd * psi0.values + hv * psi0.derivs
     # T_b' = sum_j h psi0_j phi0_jb, the integrand of the prefix form
     tders = _channel_sum(hp[:, None, :] * fv)
-    if form == "integral":
-        integrand_d = _channel_sum(hpd[:, None, :] * fv + hp[:, None, :] * fd)
-        tvals = signed_prefix(SampledField(cs.grid, tders, integrand_d), cs.direction).values
-    else:
-        p, pd = psi0.values[:, None, :], psi0.derivs[:, None, :]
-        tvals = _channel_sum(p * fd - pd * fv) / (-delta)
-
-    out = phi0.values - _outer(psi.values, tvals)
-    outd = phi0.derivs - _outer(psi.derivs, tvals) - _outer(psi.values, tders)
-    return SampledField(cs.grid, out, outd)
+    out = []
+    for form in forms:
+        if form == "integral":
+            integrand_d = _channel_sum(hpd[:, None, :] * fv + hp[:, None, :] * fd)
+            tvals = signed_prefix(SampledField(cs.grid, tders, integrand_d), cs.direction).values
+        else:
+            p, pd = psi0.values[:, None, :], psi0.derivs[:, None, :]
+            tvals = _channel_sum(p * fd - pd * fv) / (-delta)
+        vals = phi0.values - _outer(psi.values, tvals)
+        ders = phi0.derivs - _outer(psi.derivs, tvals) - _outer(psi.values, tders)
+        out.append(SampledField(cs.grid, vals, ders))
+    return tuple(out)

@@ -1,6 +1,7 @@
 """M-fold Bargmann transformation: P matrix, potential, solution maps."""
 
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from solvforge import (
     solve,
     transformed_seed_solutions,
 )
+from solvforge.bargmann import _lu_factor, _lu_solve
 
 P_AT_1 = 1.4067151019617546
 
@@ -140,9 +142,27 @@ class TestPMatrix:
         with pytest.raises(SingularPotentialError):
             p_matrix(_free_regular_set(g, [-1.0], [-10.0]))
 
+    def test_exactly_singular_node_named(self):
+        # phi = 1 solves V0 = -1, h = 1 at gamma^2 = -1, and on a step of 2^-6
+        # its prefix is exact: P_00 = 1 - r is exactly 0 at r = 1 (node 64).
+        # The second seed has C = 0, so column 0 of P is zero there and the
+        # factorization divides by a zero pivot.
+        g = RadialGrid(0.0, 2.0, 129)
+        v0, h1 = const(g, -1.0), const(g, 1.0)
+        one = Solution(-1.0, const(g, 1.0), CustomBC(1.0, 0.0, "left"))
+        other = solve(v0, h1, -2.0, CustomBC(1.0, 0.0, "left"))
+        sset = make_seed_set([BargmannSeed(-1.0, -1.0, one), BargmannSeed(-2.0, 0.0, other)],
+                             v0, parse("1"), Direction.FROM_LEFT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularPotentialError, match="at node 64$") as exc:
+                p_matrix(sset)
+        assert exc.value.node == 64
+
     def test_three_bound_states_bits_pinned(self):
-        # configs/three_bound_states.json: the P matrix, its inverse and its
-        # determinant keep the exact bits of the per-seed prefix assembly
+        # configs/three_bound_states.json: the P matrix keeps the exact bits of
+        # the per-seed prefix assembly; its inverse and determinant those of
+        # the node-batched LU factorization
         g = RadialGrid(0.0, 10.0, 10001)
         v0, h1 = unit_problem(g)
         seeds = [
@@ -156,9 +176,33 @@ class TestPMatrix:
         }
         assert digests == {
             "entries": "285b8bfcdbb227d8d69bdb6165b3fc8cc0f9ebc68b627504daa2e15f0f36cd74",
-            "inv": "e1c1a7f94087f2cfd8b770af44eba047d3f793aab858cbae71b3707d33cf4f01",
-            "det": "2e9b1e5899ba30464eea281126601c0308b715e2b96afdf40e6189afeeb2c770",
+            "inv": "610a761a1204ecc38f27eff77c145769f5a2eb6c50174960aee05c67e3e6804a",
+            "det": "f91dbe625235608b9a3d24ed57f4f716c6caf156893c1b9e8d9775c3ac361841",
         }
+
+
+class TestFactorization:
+    """The node-batched LU of p_matrix against LAPACK on (n, M, M) stacks."""
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_matches_lapack(self, m):
+        rng = np.random.default_rng(m)
+        stack = rng.standard_normal((200, m, m))
+        if m > 1:
+            # a permuted identity whose leading entry is 0: every column swaps
+            stack[0] = np.roll(np.eye(m), 1, axis=0)
+        lu = np.ascontiguousarray(stack.transpose(1, 2, 0))
+        det, swaps = _lu_factor(lu)
+        ref = np.linalg.det(stack)
+        assert np.all(np.abs(det - ref) <= 1e-12 * np.abs(ref))
+        if m > 1:
+            assert all(0 in nodes for nodes, _ in swaps[:-1])
+        b = rng.standard_normal((200, m, 3))
+        x = _lu_solve(lu, swaps, np.ascontiguousarray(b.transpose(1, 2, 0))).transpose(2, 0, 1)
+        ref = np.linalg.solve(stack, b)
+        # both are backward stable: the forward error is bounded by cond * eps
+        err = np.abs(x - ref).max(axis=(1, 2))
+        assert np.all(err <= 1e-14 * np.linalg.cond(stack) * np.abs(ref).max(axis=(1, 2)))
 
 
 class TestPotential:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from solvforge import cli
+from solvforge import cli, multichannel
 from solvforge.cli import _cells, _csv, _halves, _read_csv, main
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
@@ -379,6 +379,8 @@ class TestConfigErrors:
             ("channels", "base.V0", ["0"] * (cli.MAX_CHANNELS + 1)),
             ("multichannel", "eval_gammas.1", [1.5]),
             ("darboux", "eval_gammas", [1.0] * (cli.MAX_EVAL_GAMMAS + 1)),
+            ("darboux", "grid", {"a": 0, "b": 1e-300, "n": 201}),
+            ("darboux", "grid", {"a": -1.7e308, "b": 1.7e308, "n": 201}),
         ],
         ids=["tol-string", "tol-nan", "tol-negative", "gamma-string", "seed-not-object",
              "multichannel-gamma-strings", "multichannel-gamma-prime-list",
@@ -388,7 +390,7 @@ class TestConfigErrors:
              "tolerance-misspelt", "unknown-key", "unknown-seed-key", "darboux-seed-with-C",
              "seed-with-expr-and-bc", "too-many-bargmann-seeds", "n-below-the-stencil",
              "n-above-the-bound", "too-many-channels", "multichannel-gamma-entry-too-short",
-             "too-many-eval-gammas"],
+             "too-many-eval-gammas", "grid-step-underflows", "grid-span-overflows"],
     )
     def test_malformed_value_exits_2_cleanly(self, tmp_path, capsys, monkeypatch, config, key, value):
         def computed(*args, **kwargs):
@@ -595,6 +597,16 @@ class TestVerifySubcommand:
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
+    def test_grid_whose_step_underflows_exits_2(self, tmp_path, capsys):
+        r = [k * 1e-310 for k in range(11)]
+        pot, sol = tmp_path / "pot.csv", tmp_path / "sol.csv"
+        pot.write_text("r,V\n" + "".join(f"{x!r},0.0\n" for x in r))
+        sol.write_text("r,phi,dphi\n" + "".join(f"{x!r},1.0,0.0\n" for x in r))
+        rc = main(["verify", str(pot), str(sol), "--h", "1", "--gamma-sq", "0"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {pot}: grid: the step 1e-310 is too small: 12*step^2 underflows\n"
+
     def test_malformed_csv(self, exported, tmp_path):
         out, _ = exported
         bad = tmp_path / "bad.csv"
@@ -717,6 +729,37 @@ class TestSampleConfigs:
             reports = list(out.glob("*_report.json"))
             assert len(reports) == 1
             assert json.loads(reports[0].read_text())["all_passed"] is True
+
+    def test_fresh_process_writes_the_bytes_of_a_warm_one(self, tmp_path):
+        # the benchmark's cold pass compares a fresh interpreter's artifacts
+        # with those of warm in-process runs
+        cfg, out = str(REPO / "configs" / "three_bound_states.json"), tmp_path / "out"
+        assert main(["run", cfg, "--out-dir", str(out)]) == 0
+        warm = {p.name: p.read_bytes() for p in out.iterdir()}
+        shutil.rmtree(out)
+        path = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+        env.pop("FORGE_RESIDUAL_TOL", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "solvforge.cli", "run", cfg, "--out-dir", str(out)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == warm
+
+    def test_two_channel_solves_each_base_once(self, tmp_path, monkeypatch):
+        # 2 channel solves for the seed spectra, then 2 per eval_gammas entry:
+        # both forms of the cross-check share one base evaluation
+        solve, calls = multichannel.solve, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(multichannel, "solve", counted)
+        cfg = str(REPO / "configs" / "two_channel.json")
+        assert main(["run", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+        assert len(calls) == 6
 
 
 class TestOutDirOverride:

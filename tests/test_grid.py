@@ -26,7 +26,12 @@ class TestRadialGrid:
         assert g.step == pytest.approx(0.1)
         assert np.allclose(g.r, np.linspace(0, 1, 11))
 
-    @pytest.mark.parametrize("a,b,n", [(1.0, 1.0, 10), (2.0, 1.0, 10), (0.0, 1.0, 2)])
+    # the last two: a step whose 12*step^2 underflows, a span b - a that overflows
+    @pytest.mark.parametrize(
+        "a,b,n",
+        [(1.0, 1.0, 10), (2.0, 1.0, 10), (0.0, 1.0, 2), (0.0, 1e-300, 201),
+         (-1.7e308, 1.7e308, 201)],
+    )
     def test_invalid(self, a, b, n):
         with pytest.raises(ValueError):
             RadialGrid(a, b, n)
@@ -191,6 +196,24 @@ class TestPrefixIntegral:
         with pytest.raises(ValueError, match="shapes"):
             stack + 1.0
         assert np.array_equal((stack * stack).values, stack.values)
+
+    @pytest.mark.parametrize("direction", [Direction.FROM_LEFT, Direction.FROM_RIGHT])
+    @pytest.mark.parametrize("columns", [0, 3], ids=["field", "stack"])
+    def test_signed_prefix_is_the_oriented_integrate_prefix(self, direction, columns):
+        g = RadialGrid(0.0, 3.0, 1000)
+        texts = ("exp(-r)*cos(4*r)", "r^3 - 2*r", "sinh(r)^2")
+        if columns:
+            cols = [field_of(t, g) for t in texts]
+            f = SampledField(g, np.stack([c.values for c in cols], axis=1),
+                             np.stack([c.derivs for c in cols], axis=1))
+        else:
+            f = field_of(texts[0], g)
+        ref = integrate_prefix(f, direction)
+        if direction is Direction.FROM_RIGHT:
+            ref = -ref
+        out = signed_prefix(f, direction)
+        assert np.array_equal(out.values, ref.values)
+        assert np.array_equal(out.derivs, ref.derivs)
 
     def test_signed_prefix_orientation(self, grid01):
         f = field_of("1", grid01)
