@@ -22,6 +22,7 @@ from .errors import (
     GridMismatchError,
     GridTooSmallError,
     InvalidWeightError,
+    NonFiniteFieldError,
     NonUniformShiftError,
     SeedRejectedError,
     SingularPotentialError,
@@ -156,6 +157,7 @@ __all__ = [
     "SingularPotentialError",
     "DuplicateSpectralError",
     "DirectionMismatchError",
+    "NonFiniteFieldError",
     "NonUniformShiftError",
     "ConfigError",
 ]

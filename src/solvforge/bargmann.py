@@ -132,7 +132,8 @@ class BargmannSeedSet:
 
     @cached_property
     def _stacked(self):
-        """(phi, phi', C, gamma^2) of every seed, stacked once per set."""
+        """(phi, phi', C, gamma^2) of every seed: phi and phi' node-first, (n, M),
+        for the node-wise dot products."""
         phi = np.stack([s.phi0.values for s in self.seeds], axis=1)
         dphi = np.stack([s.phi0.derivs for s in self.seeds], axis=1)
         coeff = np.array([s.coeff for s in self.seeds])
@@ -142,10 +143,25 @@ class BargmannSeedSet:
         return phi, dphi, coeff, gam
 
     @cached_property
+    def _rows(self):
+        """(phi, phi', h phi, (h phi)', phi'') of every seed, seed-major (M, n).
+
+        P and the prefix integrals work one seed at a time, so each seed is one
+        contiguous row over the nodes; phi'' comes from the governing equation.
+        """
+        phi = np.stack([s.phi0.values for s in self.seeds])
+        dphi = np.stack([s.phi0.derivs for s in self.seeds])
+        hv, hd = self.h_field.values, self.h_field.derivs
+        ddphi = (self.v0.values - self._stacked[3][:, None] * hv) * phi
+        rows = (phi, dphi, hv * phi, hd * phi + hv * dphi, ddphi)
+        for arr in rows:
+            arr.flags.writeable = False
+        return rows
+
+    @cached_property
     def _ddphi(self):
-        """phi_mu'' of every seed from the governing equation, (n, M)."""
-        phi, _, _, gam = self._stacked
-        ddphi = (self.v0.values[:, None] - gam[None, :] * self.h_field.values[:, None]) * phi
+        """phi_mu'' of every seed, node-first (n, M)."""
+        ddphi = np.ascontiguousarray(self._rows[4].T)
         ddphi.flags.writeable = False
         return ddphi
 
@@ -162,13 +178,14 @@ def make_seed_set(
 
 @dataclass(frozen=True)
 class PMatrix:
-    """Node-wise P matrix, its LU factors and determinant, and the seed images.
+    """LU factors and determinant of the node-wise P matrix, and the seed images.
 
     P is assembled entry-major, (M, M, n), so that every entry is one
-    contiguous row over the nodes; `entries` is the (n, M, M) view of it.
-    `lu` holds the factors of P with partial pivoting (unit-lower L below the
-    diagonal, U on and above it) and `swaps` the row exchanges of each pivot
-    column.  `jacobi[j]` is u_j = P^{-1} diag(C) phi^(j) for j = 0, 1, 2, the
+    contiguous row over the nodes, and factored in that buffer: `lu` holds the
+    factors with partial pivoting (unit-lower L below the diagonal, U on and
+    above it) and `swaps` the row exchanges of each pivot column.  `entries`,
+    the (n, M, M) view of P itself, is assembled again from the seed set on
+    request.  `jacobi[j]` is u_j = P^{-1} diag(C) phi^(j) for j = 0, 1, 2, the
     vectors of Jacobi's formula.
 
     images[:, mu] = u0 is the bound-type solution y_mu at gamma_mu^2 and
@@ -178,21 +195,25 @@ class PMatrix:
     Wronskian-quotient kernel K, which is exactly P y = c.
     """
 
-    entries: np.ndarray  # (n, M, M)
+    seed_set: BargmannSeedSet
     lu: np.ndarray  # (M, M, n)
     swaps: tuple  # per pivot column k: (nodes, rows) exchanged with row k
     det: np.ndarray  # (n,)
     jacobi: np.ndarray  # (3, n, M)
     images_deriv: np.ndarray  # (n, M)
-    direction: Direction
 
     @property
     def m(self) -> int:
-        return self.entries.shape[1]
+        return self.lu.shape[0]
 
     @property
     def images(self) -> np.ndarray:
         return self.jacobi[0]
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """P at every node, (n, M, M), assembled again on request."""
+        return _assemble(self.seed_set).transpose(2, 0, 1)
 
     @cached_property
     def inv(self) -> np.ndarray:
@@ -213,19 +234,57 @@ class PMatrix:
         }
 
 
-def _seed_prefix(sset: BargmannSeedSet, g, dg) -> SampledField:
-    """Oriented prefix integrals of h phi_mu g for every seed, one (n, M) stack.
+def _seed_prefix(sset: BargmannSeedSet, g, dg) -> tuple[np.ndarray, np.ndarray]:
+    """Oriented prefix integrals of h phi_mu g for every seed, as (M, n) rows
+    of values and derivatives.
 
-    The products follow the order of ``hf * phi_mu.field * g`` and the stack
-    is summed column by column, so column mu is bit-identical to the
-    per-seed signed_prefix; the derivative channel is the integrand itself.
+    g and dg are one node row shared by every seed or one row per seed.  The
+    products follow the order of ``hf * phi_mu.field * g`` and each seed is
+    integrated as a 1-D field, which is bit-identical to integrating the
+    node-first (n, M) stack column by column; the derivative channel is the
+    integrand itself.
     """
-    phi, dphi = sset._stacked[:2]
-    hv = sset.h_field.values[:, None]
-    hphi = hv * phi
-    hphi_d = sset.h_field.derivs[:, None] * phi + hv * dphi
-    f = SampledField(sset.grid, hphi * g, hphi_d * g + hphi * dg)
-    return signed_prefix(f, sset.direction)
+    hphi, hphi_d = sset._rows[2:4]
+    g, dg = np.broadcast_to(g, hphi.shape), np.broadcast_to(dg, hphi.shape)
+    values, derivs = np.empty(hphi.shape), np.empty(hphi.shape)
+    for mu in range(hphi.shape[0]):
+        f = SampledField(sset.grid, hphi[mu] * g[mu], hphi_d[mu] * g[mu] + hphi[mu] * dg[mu])
+        k = signed_prefix(f, sset.direction)
+        values[mu], derivs[mu] = k.values, k.derivs
+    return values, derivs
+
+
+def _assemble(sset: BargmannSeedSet) -> np.ndarray:
+    """P at every node, entry-major (M, M, n).
+
+    Row i, entry j: C_i W{phi_i, phi_j} / (gamma_i^2 - gamma_j^2) + delta_ij,
+    then the prefix form on the diagonal.  The raw Wronskian is formed for
+    i < j only; W{phi_j, phi_i} is its exact negation.  delta_ij is added to
+    every entry because adding 0.0 turns an off-diagonal -0.0 (also from that
+    negation) into +0.0, a bit of P.
+    """
+    phi, dphi = sset._rows[:2]
+    coeff, gam = sset._stacked[2:]
+    m, n = phi.shape
+    denom = gam[:, None] - gam[None, :]
+    np.fill_diagonal(denom, 1.0)
+    eye = np.eye(m)
+    p = np.empty((m, m, n))
+    for i in range(m):
+        w = p[i, i + 1:]
+        np.multiply(phi[i], dphi[i + 1:], out=w)
+        w -= dphi[i] * phi[i + 1:]
+        np.negative(w, out=p[i + 1:, i])
+    diag = _seed_prefix(sset, phi, dphi)[0]
+    for i in range(m):
+        row = p[i]
+        row[i] = 0.0
+        row *= coeff[i]
+        row /= denom[i][:, None]
+        row += eye[i][:, None]
+        np.multiply(coeff[i], diag[i], out=row[i])
+        row[i] += 1.0
+    return p
 
 
 def _swap_rows(x: np.ndarray, k: int, rows: np.ndarray, nodes: np.ndarray) -> None:
@@ -295,50 +354,35 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def p_matrix(sset: BargmannSeedSet) -> PMatrix:
-    """Assemble P(r) at every node, factor it once (LU with partial pivoting)
-    and solve for the Jacobi vectors u_j, whose first is the seed images
-    y = P^{-1} c.
+    """Assemble P(r) at every node, factor it once in place (LU with partial
+    pivoting) and solve for the Jacobi vectors u_j, whose first is the seed
+    images y = P^{-1} c.
 
     det P must be nonzero, finite and of constant sign across the grid;
     otherwise SingularPotentialError names the first bad node.
     """
-    phi, dphi, coeff, gam = sset._stacked
-    n, m = phi.shape
-
-    denom = gam[:, None] - gam[None, :]
-    np.fill_diagonal(denom, 1.0)
-    eye = np.eye(m)
-    diag = 1.0 + coeff * _seed_prefix(sset, phi, dphi).values
-    phi_t, dphi_t = np.ascontiguousarray(phi.T), np.ascontiguousarray(dphi.T)
-    # row i, entry j: C_i W{phi_i, phi_j} / (gamma_i^2 - gamma_j^2) + delta_ij,
-    # then the prefix form on the diagonal.  delta_ij is added to every entry
-    # because adding 0.0 turns an off-diagonal -0.0 into +0.0, a bit of P.
-    p = np.empty((m, m, n))
-    for i in range(m):
-        row = p[i]
-        np.multiply(phi_t[i], dphi_t, out=row)
-        row -= dphi_t[i] * phi_t
-        row *= coeff[i]
-        row /= denom[i][:, None]
-        row += eye[i][:, None]
-        row[i] = diag[:, i]
-
-    lu = p.copy()
+    lu = _assemble(sset)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         det, swaps = _lu_factor(lu)
     bad = ~np.isfinite(det) | (np.abs(det) < np.finfo(float).tiny)
     bad |= np.sign(det) != np.sign(det[0])
     if np.any(bad):
-        raise SingularPotentialError(int(np.flatnonzero(bad)[0]), what="det P")
+        k = int(np.flatnonzero(bad)[0])
+        if not np.isfinite(det[k]):
+            raise SingularPotentialError(k, what="det P", how="is not finite")
+        raise SingularPotentialError(k, what="det P")
 
-    rhs = np.empty((m, 3, n))
-    for j, f in enumerate((phi_t, dphi_t, sset._ddphi.T)):
-        np.multiply(coeff[:, None], f, out=rhs[:, j])
-    u = _lu_solve(lu, swaps, rhs)
-    jacobi = np.ascontiguousarray(u.transpose(1, 2, 0))
+    phi, dphi, _, _, ddphi = sset._rows
+    coeff = sset._stacked[2]
+    m, n = phi.shape
+    # one right-hand side at a time: every node and column is solved on its
+    # own, so this only keeps a single (M, 1, n) stack alive beside the result
+    jacobi = np.empty((3, n, m))
+    for j, f in enumerate((phi, dphi, ddphi)):
+        jacobi[j] = _lu_solve(lu, swaps, coeff[:, None, None] * f[:, None])[:, 0].T
     yv = jacobi[0]
-    yd = jacobi[1] - (sset.h_field.values * _dot(phi, yv))[:, None] * yv
-    return PMatrix(p.transpose(2, 0, 1), lu, swaps, det, jacobi, yd, sset.direction)
+    yd = jacobi[1] - (sset.h_field.values * _dot(sset._stacked[0], yv))[:, None] * yv
+    return PMatrix(sset, lu, swaps, det, jacobi, yd)
 
 
 def bargmann_potential(sset: BargmannSeedSet, pm: PMatrix | None = None) -> SampledField:
@@ -407,11 +451,12 @@ def bargmann_solution(sset: BargmannSeedSet, pm: PMatrix, phi0: Solution) -> Sol
             f"gamma^2 = {phi0.gamma_sq} coincides with seed {k}; "
             "use transformed_seed_solutions for the seed parameters"
         )
-    kmu = _seed_prefix(sset, phi0.values[:, None], phi0.derivs[:, None])
+    # K node-first for _dot, whose einsum fixes the order of the sum over seeds
+    kv, kd = (np.ascontiguousarray(k.T) for k in _seed_prefix(sset, phi0.values, phi0.derivs))
     yv, yd = pm.images, pm.images_deriv
 
-    out = phi0.values - _dot(yv, kmu.values)
-    outd = phi0.derivs - _dot(yd, kmu.values) - _dot(yv, kmu.derivs)
+    out = phi0.values - _dot(yv, kv)
+    outd = phi0.derivs - _dot(yd, kv) - _dot(yv, kd)
     return Solution(
         phi0.gamma_sq,
         SampledField(sset.grid, out, outd),

@@ -85,10 +85,23 @@ class SingularSeedError(ForgeError):
 
 
 class SingularPotentialError(ForgeError):
-    """Transform denominator (P matrix determinant or chain factor) crossed zero."""
+    """Transform denominator (P matrix determinant or chain factor) crossed
+    zero, or (`how`) left the range of a double."""
 
-    def __init__(self, node: int, what: str = "transform denominator"):
-        super().__init__(f"{what} is singular or changes sign at node {node}")
+    def __init__(
+        self, node: int, what: str = "transform denominator", how: str = "is singular or changes sign"
+    ):
+        super().__init__(f"{what} {how} at node {node}")
+        self.node = node
+
+
+class NonFiniteFieldError(ForgeError, ValueError):
+    """A sampled field holds a non-finite entry, typically a construction that
+    overflowed; `node` is the first such grid node.  A ValueError as well, so
+    callers that refuse bad values as ValueError keep doing so."""
+
+    def __init__(self, what: str, node: int):
+        super().__init__(f"{what} contains a non-finite entry at node {node}")
         self.node = node
 
 

@@ -20,7 +20,7 @@ from numbers import Real
 
 import numpy as np
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, NonFiniteFieldError
 
 
 class Direction(enum.Enum):
@@ -75,8 +75,7 @@ def _as_readonly(x, n: int, what: str) -> np.ndarray:
     if arr.ndim < 1 or arr.shape[0] != n:
         raise ValueError(f"{what} must have shape ({n}, ...), got {arr.shape}")
     if not np.isfinite(arr).all():
-        bad = int(np.nonzero(~np.isfinite(arr))[0][0])
-        raise ValueError(f"{what} contains a non-finite entry at node {bad}")
+        raise NonFiniteFieldError(what, int(np.nonzero(~np.isfinite(arr))[0][0]))
     arr = arr.copy()
     arr.flags.writeable = False
     return arr

@@ -1,6 +1,7 @@
 """M-fold Bargmann transformation: P matrix, potential, solution maps."""
 
 import hashlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -17,6 +18,7 @@ from solvforge import (
     DirectionMismatchError,
     DuplicateSpectralError,
     RadialGrid,
+    SampledField,
     SeedRejectedError,
     SingularPotentialError,
     Solution,
@@ -33,7 +35,7 @@ from solvforge import (
     solve,
     transformed_seed_solutions,
 )
-from solvforge.bargmann import _lu_factor, _lu_solve
+from solvforge.bargmann import _lu_factor, _lu_solve, _seed_prefix
 
 P_AT_1 = 1.4067151019617546
 
@@ -179,6 +181,99 @@ class TestPMatrix:
             "inv": "610a761a1204ecc38f27eff77c145769f5a2eb6c50174960aee05c67e3e6804a",
             "det": "f91dbe625235608b9a3d24ed57f4f716c6caf156893c1b9e8d9775c3ac361841",
         }
+
+
+def _three_bound_states(grid, bc, direction):
+    """configs/three_bound_states.json's seeds on `grid`, in the frame of `bc`."""
+    v0, h1 = unit_problem(grid)
+    seeds = [
+        BargmannSeed(gsq, c, solve(v0, h1, gsq, bc))
+        for gsq, c in [(-1.0, 0.6), (-2.25, 0.8), (-4.0, 0.5)]
+    ]
+    return make_seed_set(seeds, v0, parse("1"), direction)
+
+
+class TestInPlaceFactorization:
+    def test_entries_assembled_only_on_request(self):
+        pm = p_matrix(_three_bound_states(RadialGrid(0.0, 10.0, 10001), JOST_AT_RIGHT,
+                                          Direction.FROM_RIGHT))
+        assert "entries" not in vars(pm)
+        digest = hashlib.sha256(np.ascontiguousarray(pm.entries).tobytes()).hexdigest()
+        assert digest == "285b8bfcdbb227d8d69bdb6165b3fc8cc0f9ebc68b627504daa2e15f0f36cd74"
+
+    def test_peak_memory_of_the_reference_m8_set(self):
+        # forgebench's bargmann_m8 reference inputs: 8 Jost seeds on [0, 16]
+        n, m = 32001, 8
+        g = RadialGrid(0.0, 16.0, n)
+        v0, h1 = unit_problem(g)
+        kappa = 1.0 + 0.25 * np.arange(m) + 0.05
+        seeds = [BargmannSeed(-k * k, 0.6 * 2.0 * k / m, solve(v0, h1, -k * k, JOST_AT_RIGHT))
+                 for k in kappa]
+        sset = make_seed_set(seeds, v0, parse("1"), Direction.FROM_RIGHT)
+        tracemalloc.start()
+        try:
+            p_matrix(sset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # P itself is m*m*n doubles; the seed set's own rows are counted too
+        assert peak <= 3 * m * m * n * 8
+
+    def test_overflowed_determinant_named(self):
+        # three_bound_states switched to the regular frame on [0, 100]: P stays
+        # finite, but the product of U's diagonal overflows at node 16224
+        sset = _three_bound_states(RadialGrid(0.0, 100.0, 20001), REGULAR_AT_LEFT,
+                                   Direction.FROM_LEFT)
+        with pytest.raises(SingularPotentialError,
+                           match="^det P is not finite at node 16224$") as exc:
+            p_matrix(sset)
+        assert exc.value.node == 16224
+
+    def test_sign_change_keeps_its_message(self):
+        g = RadialGrid(0.0, 2.0, 2001)
+        with pytest.raises(SingularPotentialError, match="^det P is singular or changes sign at"):
+            p_matrix(_free_regular_set(g, [-1.0], [-10.0]))
+
+
+class TestSeedRows:
+    """_seed_prefix integrates seed by seed; the rows must keep the bits of the
+    node-first (n, M) stack integrated in one signed_prefix call."""
+
+    @staticmethod
+    def _stacked_route(sset, g, dg):
+        phi = np.stack([s.phi0.values for s in sset.seeds], axis=1)
+        dphi = np.stack([s.phi0.derivs for s in sset.seeds], axis=1)
+        hv = sset.h_field.values[:, None]
+        hphi = hv * phi
+        hphi_d = sset.h_field.derivs[:, None] * phi + hv * dphi
+        return signed_prefix(SampledField(sset.grid, hphi * g, hphi_d * g + hphi * dg),
+                             sset.direction)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    @pytest.mark.parametrize("frame", ["regular", "jost"])
+    def test_rows_match_the_stacked_route(self, m, frame):
+        bc, direction, b = {
+            "regular": (REGULAR_AT_LEFT, Direction.FROM_LEFT, 3.0),
+            "jost": (JOST_AT_RIGHT, Direction.FROM_RIGHT, 8.0),
+        }[frame]
+        # an even node count closes the prefix with the odd-panel rule
+        g = RadialGrid(0.0, b, 2000)
+        v0, h = field_of("-exp(-r)", g), field_of("1+exp(-r)", g)
+        kappa = 0.8 + 0.3 * np.arange(m)
+        seeds = [BargmannSeed(-k * k, 0.5, solve(v0, h, -k * k, bc)) for k in kappa]
+        sset = make_seed_set(seeds, v0, parse("1+exp(-r)"), direction)
+        phi0 = solve(v0, h, -0.3, bc)
+        phi_rows = np.stack([s.phi0.values for s in seeds])
+        dphi_rows = np.stack([s.phi0.derivs for s in seeds])
+        cases = [
+            (phi_rows, dphi_rows, phi_rows.T, dphi_rows.T),  # the diagonal of P
+            (phi0.values, phi0.derivs, phi0.values[:, None], phi0.derivs[:, None]),  # a map
+        ]
+        for g_rows, dg_rows, g_stack, dg_stack in cases:
+            values, derivs = _seed_prefix(sset, g_rows, dg_rows)
+            ref = self._stacked_route(sset, g_stack, dg_stack)
+            assert np.array_equal(values, ref.values.T)
+            assert np.array_equal(derivs, ref.derivs.T)
 
 
 class TestFactorization:

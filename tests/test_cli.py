@@ -437,6 +437,18 @@ class TestConfigErrors:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    def test_overflowed_determinant_exits_3_and_names_it(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = json.loads((REPO / "configs" / "three_bound_states.json").read_text())
+        cfg["grid"] = {"a": 0.0, "b": 100.0, "n": 20001}
+        cfg["direction"] = "from_left"
+        for seed in cfg["seeds"]:
+            seed["bc"] = "regular_at_left"
+        rc = main(["run", _write_config(tmp_path / "job.json", cfg), "--out-dir", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == "error: det P is not finite at node 16224\n"
+        assert not out.exists()
+
     def test_out_dir_that_is_a_file_exits_2(self, tmp_path, capsys):
         taken = tmp_path / "taken"
         taken.write_text("x")

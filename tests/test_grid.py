@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 from conftest import const, field_of
 from solvforge import (
     Direction,
+    ForgeError,
     GridMismatchError,
+    NonFiniteFieldError,
     RadialGrid,
     SampledField,
     field_from_arrays,
@@ -53,6 +55,15 @@ class TestSampledField:
         vals[3] = np.inf
         with pytest.raises(ValueError, match="node 3"):
             SampledField(grid01, vals, np.zeros(grid01.n))
+
+    def test_nonfinite_error_is_typed(self, grid01):
+        derivs = np.zeros((grid01.n, 2))
+        derivs[7, 1] = np.nan
+        with pytest.raises(NonFiniteFieldError) as exc:
+            SampledField(grid01, np.zeros((grid01.n, 2)), derivs)
+        assert isinstance(exc.value, ForgeError) and isinstance(exc.value, ValueError)
+        assert exc.value.node == 7
+        assert str(exc.value) == "derivs contains a non-finite entry at node 7"
 
     def test_immutable(self, grid01):
         f = const(grid01, 1.0)
