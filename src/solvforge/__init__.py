@@ -54,7 +54,6 @@ from .solver import (
 from .verify import (
     ResidualReport,
     check_wronskian_integral,
-    default_tolerance,
     matrix_residual,
     residual,
 )
@@ -119,7 +118,6 @@ __all__ = [
     "residual",
     "matrix_residual",
     "check_wronskian_integral",
-    "default_tolerance",
     # transforms
     "DarbouxTransform",
     "darboux_transform",

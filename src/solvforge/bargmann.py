@@ -131,39 +131,30 @@ class BargmannSeedSet:
         return self.v0.grid
 
     @cached_property
-    def _stacked(self):
-        """(phi, phi', C, gamma^2) of every seed: phi and phi' node-first, (n, M),
-        for the node-wise dot products."""
-        phi = np.stack([s.phi0.values for s in self.seeds], axis=1)
-        dphi = np.stack([s.phi0.derivs for s in self.seeds], axis=1)
+    def _constants(self):
+        """(C, gamma^2) of every seed, (M,)."""
         coeff = np.array([s.coeff for s in self.seeds])
         gam = np.array([s.gamma_sq for s in self.seeds])
-        for arr in (phi, dphi, coeff, gam):
+        for arr in (coeff, gam):
             arr.flags.writeable = False
-        return phi, dphi, coeff, gam
+        return coeff, gam
 
     @cached_property
     def _rows(self):
         """(phi, phi', h phi, (h phi)', phi'') of every seed, seed-major (M, n).
 
-        P and the prefix integrals work one seed at a time, so each seed is one
-        contiguous row over the nodes; phi'' comes from the governing equation.
+        P, the prefix integrals and the sums over seeds work one seed at a
+        time, so each seed is one contiguous row over the nodes; phi'' comes
+        from the governing equation.
         """
         phi = np.stack([s.phi0.values for s in self.seeds])
         dphi = np.stack([s.phi0.derivs for s in self.seeds])
         hv, hd = self.h_field.values, self.h_field.derivs
-        ddphi = (self.v0.values - self._stacked[3][:, None] * hv) * phi
+        ddphi = (self.v0.values - self._constants[1][:, None] * hv) * phi
         rows = (phi, dphi, hv * phi, hd * phi + hv * dphi, ddphi)
         for arr in rows:
             arr.flags.writeable = False
         return rows
-
-    @cached_property
-    def _ddphi(self):
-        """phi_mu'' of every seed, node-first (n, M)."""
-        ddphi = np.ascontiguousarray(self._rows[4].T)
-        ddphi.flags.writeable = False
-        return ddphi
 
 
 def make_seed_set(
@@ -186,9 +177,9 @@ class PMatrix:
     above it) and `swaps` the row exchanges of each pivot column.  `entries`,
     the (n, M, M) view of P itself, is assembled again from the seed set on
     request.  `jacobi[j]` is u_j = P^{-1} diag(C) phi^(j) for j = 0, 1, 2, the
-    vectors of Jacobi's formula.
+    vectors of Jacobi's formula, seed-major (M, n) like the seed rows.
 
-    images[:, mu] = u0 is the bound-type solution y_mu at gamma_mu^2 and
+    images[mu] = u0_mu is the bound-type solution y_mu at gamma_mu^2 and
     images_deriv its exact derivative.  y = P^{-1} c (c_nu = C_nu phi_nu) is
     the orientation forced by self-consistency of the transform ansatz at the
     seed parameters: (I + diag(C) K) y = c with the symmetric
@@ -199,8 +190,8 @@ class PMatrix:
     lu: np.ndarray  # (M, M, n)
     swaps: tuple  # per pivot column k: (nodes, rows) exchanged with row k
     det: np.ndarray  # (n,)
-    jacobi: np.ndarray  # (3, n, M)
-    images_deriv: np.ndarray  # (n, M)
+    jacobi: np.ndarray  # (3, M, n)
+    images_deriv: np.ndarray  # (M, n)
 
     @property
     def m(self) -> int:
@@ -264,7 +255,7 @@ def _assemble(sset: BargmannSeedSet) -> np.ndarray:
     negation) into +0.0, a bit of P.
     """
     phi, dphi = sset._rows[:2]
-    coeff, gam = sset._stacked[2:]
+    coeff, gam = sset._constants
     m, n = phi.shape
     denom = gam[:, None] - gam[None, :]
     np.fill_diagonal(denom, 1.0)
@@ -350,7 +341,8 @@ def _lu_solve(lu: np.ndarray, swaps: tuple, b: np.ndarray) -> np.ndarray:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("nm,nm->n", a, b)
+    """sum_mu a[mu] b[mu] over (M, n) rows, one seed at a time from zero."""
+    return np.einsum("mn,mn->n", a, b)
 
 
 def p_matrix(sset: BargmannSeedSet) -> PMatrix:
@@ -373,15 +365,13 @@ def p_matrix(sset: BargmannSeedSet) -> PMatrix:
         raise SingularPotentialError(k, what="det P")
 
     phi, dphi, _, _, ddphi = sset._rows
-    coeff = sset._stacked[2]
-    m, n = phi.shape
-    # one right-hand side at a time: every node and column is solved on its
-    # own, so this only keeps a single (M, 1, n) stack alive beside the result
-    jacobi = np.empty((3, n, m))
-    for j, f in enumerate((phi, dphi, ddphi)):
-        jacobi[j] = _lu_solve(lu, swaps, coeff[:, None, None] * f[:, None])[:, 0].T
+    # each right-hand side diag(C) phi^(j) is solved in place in its slot
+    jacobi = np.stack((phi, dphi, ddphi))
+    jacobi *= sset._constants[0][:, None]
+    for rhs in jacobi:
+        _lu_solve(lu, swaps, rhs[:, None])
     yv = jacobi[0]
-    yd = jacobi[1] - (sset.h_field.values * _dot(sset._stacked[0], yv))[:, None] * yv
+    yd = jacobi[1] - sset.h_field.values * _dot(phi, yv) * yv
     return PMatrix(sset, lu, swaps, det, jacobi, yd)
 
 
@@ -394,12 +384,11 @@ def bargmann_potential(sset: BargmannSeedSet, pm: PMatrix | None = None) -> Samp
     """
     if pm is None:
         pm = p_matrix(sset)
-    phi, dphi = sset._stacked[:2]
+    phi, dphi, _, _, ddphi = sset._rows
     hf = sset.h_field
     hv, hd = hf.values, hf.derivs
     hdd = sset.h.jet(sset.grid.r, 2)[2]
 
-    ddphi = sset._ddphi
     u0, u1, u2 = pm.jacobi
     s00 = _dot(phi, u0)
     s_1 = _dot(phi, u1) + _dot(dphi, u0)
@@ -422,8 +411,8 @@ def transformed_seed_solutions(sset: BargmannSeedSet, pm: PMatrix | None = None)
         pm = p_matrix(sset)
     yv, yd = pm.images, pm.images_deriv
     return [
-        Solution(s.gamma_sq, SampledField(sset.grid, yv[:, k], yd[:, k]),
-                 CustomBC(float(yv[0, k]), float(yd[0, k]), "left"))
+        Solution(s.gamma_sq, SampledField(sset.grid, yv[k], yd[k]),
+                 CustomBC(float(yv[k, 0]), float(yd[k, 0]), "left"))
         for k, s in enumerate(sset.seeds)
     ]
 
@@ -444,15 +433,14 @@ def bargmann_solution(sset: BargmannSeedSet, pm: PMatrix, phi0: Solution) -> Sol
     if phi0.grid != sset.grid:
         raise GridMismatchError("solution lives on a different grid")
     _check_direction(phi0.bc, sset.direction)
-    gaps = np.abs(sset._stacked[3] - phi0.gamma_sq)
+    gaps = np.abs(sset._constants[1] - phi0.gamma_sq)
     if np.any(gaps < MIN_SPECTRAL_GAP):
         k = int(np.argmin(gaps))
         raise DuplicateSpectralError(
             f"gamma^2 = {phi0.gamma_sq} coincides with seed {k}; "
             "use transformed_seed_solutions for the seed parameters"
         )
-    # K node-first for _dot, whose einsum fixes the order of the sum over seeds
-    kv, kd = (np.ascontiguousarray(k.T) for k in _seed_prefix(sset, phi0.values, phi0.derivs))
+    kv, kd = _seed_prefix(sset, phi0.values, phi0.derivs)
     yv, yd = pm.images, pm.images_deriv
 
     out = phi0.values - _dot(yv, kv)

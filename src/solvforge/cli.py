@@ -403,18 +403,9 @@ def _number(val, what: str) -> float:
 
 
 def _tolerance(source: dict, key: str, what: str) -> float:
-    """The residual tolerance source[key]; when the key is absent, the
-    FORGE_RESIDUAL_TOL environment variable or the default.  Either way it
-    must be a finite number > 0."""
-    if key in source:
-        value = source[key]
-    else:
-        what = verify_mod.TOL_ENV_VAR
-        try:
-            value = verify_mod.default_tolerance()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    tol = _number(value, what)
+    """The residual tolerance source[key], a finite number > 0; when the key
+    is absent, the default."""
+    tol = _number(source.get(key, verify_mod.DEFAULT_TRANSFORM_TOL), what)
     if tol <= 0.0:
         raise ConfigError(f"{what} must be a finite number > 0, got {tol!r}")
     return tol

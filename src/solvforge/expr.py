@@ -15,23 +15,27 @@ negative values, division by zero, non-integer powers of non-positive bases
 and floating overflow all raise DomainError (with the offending node index
 when evaluating over a grid) instead of returning a non-finite value.
 
-Derivatives come two ways.  `diff` builds a derivative tree by the
-textbook rules, only lightly constant-folded; the public `derivative()`,
-`evaluate_on_grid` and `forge parse-check` use it.  `jet(r, order)` walks the
-original tree once and returns the value and the first `order` derivatives
-together, by truncated Taylor arithmetic (Griewank & Walther, Evaluating
-Derivatives, 2nd ed., SIAM 2008, ch. 13): the Leibniz rule for products, the
-division recurrence for quotients, repeated products for non-negative
-integer powers (so r^2 at r = 0 stays exact), the u^p recurrence for other
-constant exponents and exp(e log b) for exponents that depend on r, and the
+One walker computes values: `jet(r, order)` walks the tree once and
+returns the value and the first `order` derivatives together, and
+`evaluate` is the value row of the order-0 jet.  The derivative rows come
+by truncated Taylor arithmetic (Griewank & Walther, Evaluating Derivatives,
+2nd ed., SIAM 2008, ch. 13): the Leibniz rule for products, the division
+recurrence for quotients, repeated products for non-negative integer
+powers (so r^2 at r = 0 stays exact), the u^p recurrence for other constant
+exponents and exp(e log b) for exponents that depend on r, and the
 recurrences f' = g u' of the primitives, paired for sin/cos and sinh/cosh,
-with 1 - tanh^2 for tanh and -sech tanh for sech.  The transforms read their
-higher derivatives of the weight from jets, which avoids evaluating nested
-derivative trees that grow with each level.  A jet's value row is the
-value `eval` gives, bit for bit; its derivative rows agree with the
-evaluated derivative trees up to rounding.  Every jet coefficient passes
-the same domain and finiteness checks as `eval`, and a derivative that does
-not exist (sqrt at zero) raises DomainError as well.
+with 1 - tanh^2 for tanh and -sech tanh for sech.  An order-0 jet stops at
+the value row, so it does no more work and makes no more checks than the
+value needs.  Every jet coefficient passes the domain and finiteness
+checks, and a derivative that does not exist (sqrt at zero) raises
+DomainError as well.  The transforms read their higher derivatives of the
+weight from jets, which avoids evaluating nested derivative trees that
+grow with each level.
+
+`diff` still builds a derivative tree by the textbook rules, only lightly
+constant-folded; the public `derivative()`, `evaluate_on_grid`'s derivative
+channel and `forge parse-check` use it.  A jet's derivative rows agree with
+the evaluated derivative trees up to rounding.
 """
 
 from __future__ import annotations
@@ -132,9 +136,6 @@ class Node:
     __slots__ = ()
     prec = _P_ATOM
 
-    def eval(self, r):
-        raise NotImplementedError
-
     def diff(self) -> "Node":
         raise NotImplementedError
 
@@ -156,17 +157,14 @@ class Num(Node):
     def __init__(self, value: float):
         self.value = float(value)
 
-    def eval(self, r):
-        # numpy scalar, so composite arithmetic keeps IEEE inf/nan semantics
-        # (python float ** raises OverflowError instead) and every non-finite
-        # intermediate is routed through the DomainError checks
-        return np.float64(self.value)
-
     def diff(self):
         return Num(0.0)
 
     def jet(self, r, order):
-        return [self.eval(r)] + [np.float64(0.0)] * order
+        # numpy scalar, so composite arithmetic keeps IEEE inf/nan semantics
+        # (python float ** raises OverflowError instead) and every non-finite
+        # intermediate is routed through the DomainError checks
+        return [np.float64(self.value)] + [np.float64(0.0)] * order
 
     def fmt(self):
         # the sign test is on the text, so -0.0 is parenthesized as well
@@ -176,9 +174,6 @@ class Num(Node):
 
 class Var(Node):
     __slots__ = ()
-
-    def eval(self, r):
-        return r
 
     def diff(self):
         return Num(1.0)
@@ -233,9 +228,6 @@ class Add(Node):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def eval(self, r):
-        return _ensure_finite(self.a.eval(r) + self.b.eval(r), "addition")
-
     def diff(self):
         return _add(self.a.diff(), self.b.diff())
 
@@ -254,9 +246,6 @@ class Sub(Node):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def eval(self, r):
-        return _ensure_finite(self.a.eval(r) - self.b.eval(r), "subtraction")
-
     def diff(self):
         return _sub(self.a.diff(), self.b.diff())
 
@@ -274,9 +263,6 @@ class Mul(Node):
 
     def __init__(self, a, b):
         self.a, self.b = a, b
-
-    def eval(self, r):
-        return _ensure_finite(self.a.eval(r) * self.b.eval(r), "multiplication")
 
     def diff(self):
         return _add(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
@@ -300,19 +286,12 @@ class Div(Node):
     def __init__(self, a, b):
         self.a, self.b = a, b
 
-    def eval(self, r):
-        den = self.b.eval(r)
-        zero = np.asarray(den) == 0.0
-        if np.any(zero):
-            _fail("division by zero", zero)
-        return _ensure_finite(self.a.eval(r) / den, "division")
-
     def diff(self):
         num = _sub(_mul(self.a.diff(), self.b), _mul(self.a, self.b.diff()))
         return Div(num, Pow(self.b, Num(2.0)))
 
     def jet(self, r, order):
-        # same order of evaluation and checks as eval; then a = b c gives
+        # the denominator is walked and checked first; then a = b c gives
         # c^(k) = (a^(k) - sum_{j>=1} C(k, j) b^(j) c^(k-j)) / b
         b = self.b.jet(r, order)
         zero = np.asarray(b[0]) == 0.0
@@ -334,9 +313,6 @@ class Neg(Node):
 
     def __init__(self, a):
         self.a = a
-
-    def eval(self, r):
-        return -self.a.eval(r)
 
     def diff(self):
         d = self.a.diff()
@@ -361,21 +337,6 @@ class Pow(Node):
             return int(self.exp.value)
         return None
 
-    def eval(self, r):
-        base = self.base.eval(r)
-        k = self._integer_exponent()
-        if k is not None:
-            if k < 0:
-                zero = np.asarray(base) == 0.0
-                if np.any(zero):
-                    _fail("zero base with negative exponent", zero)
-            return _ensure_finite(base ** k, "power")
-        # non-integer (or non-constant) exponent requires a positive base
-        nonpos = ~(np.asarray(base) > 0.0)
-        if np.any(nonpos):
-            _fail("non-integer power of a non-positive base", nonpos)
-        return _ensure_finite(base ** self.exp.eval(r), "power")
-
     def diff(self):
         if isinstance(self.exp, Num):
             n = self.exp.value
@@ -391,7 +352,8 @@ class Pow(Node):
         return _mul(self, term)
 
     def jet(self, r, order):
-        # the value row is eval's base ** exponent, with eval's checks
+        # the value row is base ** exponent; the base is checked before the
+        # exponent is walked, and an order-0 jet stops at the value row
         k = self._integer_exponent()
         # as in diff, u^0 leaves the base's derivatives unevaluated
         u = self.base.jet(r, 0 if k == 0 else order)
@@ -404,6 +366,8 @@ class Pow(Node):
                     _fail("zero base with negative exponent", zero)
                 return _power_jet(_ensure_finite(u[0] ** k, "power"), u, k, order)
             value = _ensure_finite(u[0] ** k, "power")
+            if not order:
+                return [value]
             # binary powering by products, since the u^p recurrence divides by u
             out = None
             while k:
@@ -418,6 +382,9 @@ class Pow(Node):
             _fail("non-integer power of a non-positive base", nonpos)
         e = self.exp.jet(r, order)
         value = _ensure_finite(u[0] ** e[0], "power")
+        if not order:
+            # e log b may overflow where b^e is finite, e.g. (1e-300)^(1e308 r)
+            return [value]
         if isinstance(self.exp, Num):
             return _power_jet(value, u, self.exp.value, order)
         # b^e = exp(e log b)
@@ -468,14 +435,16 @@ def _sqrt_jet(s, u, k):
 
 
 def _fn_jet(name: str, value, u, order: int) -> list:
-    """Jet of name(u) whose value row (eval's) is given."""
+    """Jet of name(u) whose value row is given."""
+    if not order:
+        return [value]
     if name == "exp":
         return _exp_jet(value, u, order, name)
     if name == "log":
         return _log_jet(value, u, order)
     if name == "sqrt":
         zero = np.asarray(u[0]) == 0.0
-        if order and np.any(zero):
+        if np.any(zero):
             _fail("sqrt has no derivative at zero", zero)
         f = [value]
         for k in range(1, order + 1):
@@ -510,10 +479,6 @@ class Fn(Node):
 
     def __init__(self, name: str, a: Node):
         self.name, self.a = name, a
-
-    def eval(self, r):
-        f = _FUNCTIONS[self.name][0]
-        return _ensure_finite(f(self.a.eval(r)), self.name)
 
     def diff(self):
         return _FUNCTIONS[self.name][1](self.a, self.a.diff())
@@ -671,10 +636,10 @@ class AnalyticExpr:
     source: str | None = None
 
     def evaluate(self, r):
-        """Evaluate at a scalar or ndarray of radii."""
+        """Evaluate at a scalar or ndarray of radii: the order-0 jet's value row."""
         arr = np.asarray(r, dtype=float)
         with np.errstate(all="ignore"):
-            out = self.root.eval(arr)
+            out = self.root.jet(arr, 0)[0]
         out = np.asarray(out, dtype=float)
         if arr.ndim == 0:
             return float(np.broadcast_to(out, ()).item() if out.ndim else out)

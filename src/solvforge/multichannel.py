@@ -23,10 +23,11 @@ gamma'_a^2 + Delta for one common Delta), which multichannel_solution
 enforces.  At N = 1 everything reduces to the single-channel transform with
 C = c^2.
 
-Fields are node-first stacks, as in the Bargmann transform: matrix fields
-(V0, V, phi) are SampledFields of shape (n, N, N) with entry (a, b) at
-[:, a, b], and the seed vectors psi0, psi are (n, N).  Sums over channels
-run one channel at a time from zero, in the order of a running sum.
+Fields are node-first stacks: matrix fields (V0, V, phi) are SampledFields
+of shape (n, N, N) with entry (a, b) at [:, a, b], and the seed vectors
+psi0, psi are (n, N).  Sums over channels run one channel at a time from
+zero, in the order of a running sum, as the sums over seeds of the Bargmann
+transform do.
 """
 
 from __future__ import annotations

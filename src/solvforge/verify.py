@@ -9,7 +9,6 @@ transforms, so oracle and construction share no code path.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -26,7 +25,6 @@ __all__ = [
     "residual",
     "matrix_residual",
     "check_wronskian_integral",
-    "default_tolerance",
     "DEFAULT_TRANSFORM_TOL",
     "BASE_ANALYTIC_TOL",
 ]
@@ -35,20 +33,6 @@ __all__ = [
 DEFAULT_TRANSFORM_TOL = 1e-5
 #: default relative tolerance for base analytic cases
 BASE_ANALYTIC_TOL = 1e-8
-
-#: environment variable overriding the default tolerance
-TOL_ENV_VAR = "FORGE_RESIDUAL_TOL"
-
-
-def default_tolerance() -> float:
-    """Default residual tolerance, overridable via FORGE_RESIDUAL_TOL."""
-    raw = os.environ.get(TOL_ENV_VAR)
-    if raw:
-        try:
-            return float(raw)
-        except ValueError as exc:
-            raise ValueError(f"{TOL_ENV_VAR} must be a float, got {raw!r}") from exc
-    return DEFAULT_TRANSFORM_TOL
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ from solvforge import (
     transformed_seed_solutions,
 )
 from solvforge.bargmann import _lu_factor, _lu_solve, _seed_prefix
+from solvforge.darboux import log_det_potential
 
 P_AT_1 = 1.4067151019617546
 
@@ -383,8 +384,60 @@ class TestRankOneJacobi:
         assert _sup_rel(v.values, ref.values) < 1e-13
         assert _sup_rel(v.derivs, ref.derivs) < 1e-13
         yv, yd = dense_seed_images(sset, pm)
-        assert _sup_rel(pm.images, yv) < 1e-13
-        assert _sup_rel(pm.images_deriv, yd) < 1e-13
+        assert _sup_rel(pm.images.T, yv) < 1e-13
+        assert _sup_rel(pm.images_deriv.T, yd) < 1e-13
+
+
+def _seed_sum(a, b):
+    """sum_mu a[mu] b[mu] over (M, n) rows, one seed at a time from zero."""
+    total = np.zeros(a.shape[1])
+    for x, y in zip(a, b):
+        total = total + x * y
+    return total
+
+
+class TestSeedSums:
+    """Every sum over seeds adds seed by seed from zero, over seed-major rows."""
+
+    @pytest.mark.parametrize("frame", ["regular", "jost"])
+    @pytest.mark.parametrize("m", [3, 8])
+    def test_running_sums_pin_the_bits(self, m, frame):
+        sset = _weighted_set(m, frame)
+        pm = p_matrix(sset)
+        n = sset.grid.n
+        assert pm.jacobi.shape == (3, m, n)
+        assert pm.images.shape == pm.images_deriv.shape == (m, n)
+        phi, dphi, _, _, ddphi = sset._rows
+        u0, u1, u2 = pm.jacobi
+        hf = sset.h_field
+        hv, hd = hf.values, hf.derivs
+
+        assert np.array_equal(pm.images_deriv, u1 - hv * _seed_sum(phi, u0) * u0)
+
+        hdd = sset.h.jet(sset.grid.r, 2)[2]
+        s00 = _seed_sum(phi, u0)
+        s_1 = _seed_sum(phi, u1) + _seed_sum(dphi, u0)
+        t = hv * s00
+        trace_p2 = hd * s00 + hv * s_1
+        tdd = (
+            hdd * s00
+            + 2.0 * hd * s_1
+            + hv * (_seed_sum(phi, u2) + 2.0 * _seed_sum(dphi, u1) + _seed_sum(ddphi, u0))
+            - 3.0 * t * trace_p2
+            + 2.0 * t * t * t
+        )
+        ref = log_det_potential(sset.v0, hf, hdd, t, trace_p2 - t * t, tdd)
+        v = bargmann_potential(sset, pm)
+        assert np.array_equal(v.values, ref.values)
+        assert np.array_equal(v.derivs, ref.derivs)
+
+        bc = sset.seeds[0].phi0.bc
+        phi0 = solve(sset.v0, hf, -0.3, bc)
+        kv, kd = _seed_prefix(sset, phi0.values, phi0.derivs)
+        yv, yd = pm.images, pm.images_deriv
+        out = bargmann_solution(sset, pm, phi0)
+        assert np.array_equal(out.values, phi0.values - _seed_sum(yv, kv))
+        assert np.array_equal(out.derivs, phi0.derivs - _seed_sum(yd, kv) - _seed_sum(yv, kd))
 
 
 class TestSolutions:

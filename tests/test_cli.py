@@ -246,26 +246,18 @@ class TestRunDarboux:
         report = json.loads((tmp_path / "out" / "well_report.json").read_text())
         assert report["all_passed"] is False
 
-    def test_env_tolerance_override(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FORGE_RESIDUAL_TOL", "1e-16")
-        cfg = _darboux_config(str(tmp_path / "out"))
-        rc = main(["run", _write_config(tmp_path / "job.json", cfg)])
-        assert rc == 4
-
-    def test_env_tolerance_unread_when_config_sets_one(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("FORGE_RESIDUAL_TOL", "abc")
-        cfg = _darboux_config(str(tmp_path / "out"))
-        cfg["tolerance"] = 1e-5
-        assert main(["run", _write_config(tmp_path / "job.json", cfg)]) == 0
-
-    def test_malformed_env_tolerance_exits_2(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("FORGE_RESIDUAL_TOL", "abc")
+    @pytest.mark.parametrize("env", ["1e-16", "abc"])
+    def test_environment_does_not_set_the_tolerance(self, tmp_path, monkeypatch, env):
+        # only the config's `tolerance` and verify's --tol set it; else 1e-5
+        monkeypatch.setenv("FORGE_RESIDUAL_TOL", env)
         out = tmp_path / "out"
-        rc = main(["run", _write_config(tmp_path / "job.json", _darboux_config(str(out)))])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert not out.exists()
+        cfg = _darboux_config(str(out), grid={"a": 0.0, "b": 5.0, "n": 5001})
+        assert main(["run", _write_config(tmp_path / "job.json", cfg)]) == 0
+        assert json.loads((out / "well_report.json").read_text())["tolerance"] == 1e-5
+        assert main([
+            "verify", str(out / "well_potential.csv"), str(out / "well_solution_000.csv"),
+            "--h", "1", "--gamma-sq", "1.0",
+        ]) == 0
 
 
 class TestRunOtherModes:
@@ -585,20 +577,12 @@ class TestVerifySubcommand:
         assert rc == 2
 
     @pytest.mark.parametrize(
-        "extra, env",
-        [
-            (["--tol", "nan"], None),
-            (["--tol", "-1"], None),
-            (["--tol", "inf"], None),
-            (["--gamma-sq", "nan"], None),
-            ([], "abc"),
-        ],
-        ids=["tol-nan", "tol-negative", "tol-inf", "gamma-nan", "env-tol-string"],
+        "extra",
+        [["--tol", "nan"], ["--tol", "-1"], ["--tol", "inf"], ["--gamma-sq", "nan"]],
+        ids=["tol-nan", "tol-negative", "tol-inf", "gamma-nan"],
     )
-    def test_bad_number_exits_2(self, exported, capsys, monkeypatch, extra, env):
+    def test_bad_number_exits_2(self, exported, capsys, extra):
         out, _ = exported
-        if env is not None:
-            monkeypatch.setenv("FORGE_RESIDUAL_TOL", env)
         capsys.readouterr()
         rc = main([
             "verify", str(out / "well_potential.csv"), str(out / "well_solution_000.csv"),

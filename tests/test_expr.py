@@ -290,13 +290,13 @@ def _magnitude(node, r):
     if isinstance(node, Mul):
         return _magnitude(node.a, r) * _magnitude(node.b, r)
     if isinstance(node, Div):
-        return _magnitude(node.a, r) / np.abs(node.b.eval(r))
+        return _magnitude(node.a, r) / np.abs(node.b.jet(r, 0)[0])
     if isinstance(node, Neg):
         return _magnitude(node.a, r)
     k = node._integer_exponent() if isinstance(node, Pow) else None
     if k is not None and k > 0:
         return _magnitude(node.base, r) ** k
-    return np.abs(node.eval(r))
+    return np.abs(node.jet(r, 0)[0])
 
 
 def _symbolic_jet(e: AnalyticExpr, pts, order: int = 3):
@@ -417,6 +417,18 @@ class TestJetDomain:
         with pytest.raises(DomainError) as exc:
             parse("1/(r - 1)").jet(np.linspace(0.0, 2.0, 5), 1)
         assert exc.value.node == 2
+
+    def test_order_zero_stops_at_the_value(self):
+        # b^e underflows to 0 where e log b overflows: only the derivative
+        # rows need e log b, so the value row and evaluate keep b^e
+        r = np.linspace(0.0, 1.5, 16)  # through r = 1; r*1e308 stays finite
+        e = parse("(1e-300)^(r*1e308)")
+        expected = np.where(r == 0.0, 1.0, 0.0)
+        assert np.array_equal(e.evaluate(r), expected)
+        assert np.array_equal(e.jet(r, 0)[0], expected)
+        assert e.evaluate(1.0) == 0.0 and e.jet(1.0, 0).tolist() == [0.0]
+        with pytest.raises(DomainError):
+            e.jet(r, 1)
 
     def test_scalar_and_order_zero(self):
         assert parse("exp(r)").jet(0.0, 0).tolist() == [1.0]

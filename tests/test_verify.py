@@ -14,7 +14,6 @@ from solvforge import (
     SampledField,
     Solution,
     check_wronskian_integral,
-    default_tolerance,
     matrix_residual,
     residual,
     solve,
@@ -138,13 +137,3 @@ class TestWronskianIntegral:
         pb = solve(v0, h1, -0.8, REGULAR_AT_LEFT)
         rep = check_wronskian_integral(pa, pb, h1, Direction.FROM_RIGHT, tol=1e-7)
         assert not rep.passed
-
-
-def test_default_tolerance_env_override(monkeypatch):
-    monkeypatch.delenv("FORGE_RESIDUAL_TOL", raising=False)
-    assert default_tolerance() == 1e-5
-    monkeypatch.setenv("FORGE_RESIDUAL_TOL", "1e-7")
-    assert default_tolerance() == 1e-7
-    monkeypatch.setenv("FORGE_RESIDUAL_TOL", "bogus")
-    with pytest.raises(ValueError):
-        default_tolerance()
