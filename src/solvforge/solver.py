@@ -171,8 +171,8 @@ def solve(
         raise TypeError(f"unsupported boundary condition {bc!r}")
 
     if backward:
-        phi_r, dphi_r = rk4_propagate(q[::-1].copy(), qm[::-1].copy(), step, value, -slope)
-        phi, dphi = phi_r[::-1].copy(), -dphi_r[::-1]
+        phi_r, dphi_r = rk4_propagate(q[::-1], qm[::-1], step, value, -slope)
+        phi, dphi = phi_r[::-1], -dphi_r[::-1]
     else:
         phi, dphi = rk4_propagate(q, qm, step, value, slope)
 

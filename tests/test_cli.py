@@ -223,7 +223,6 @@ class TestRunDarboux:
         cfg_path = _write_config(tmp_path / "job.json", _darboux_config(str(out)))
         path = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        env.pop("FORGE_RESIDUAL_TOL", None)
         proc = subprocess.run(
             [sys.executable, "-m", "solvforge.cli", "run", cfg_path],
             capture_output=True, text=True, env=env, timeout=120,
@@ -735,7 +734,6 @@ class TestSampleConfigs:
         shutil.rmtree(out)
         path = [str(REPO / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
-        env.pop("FORGE_RESIDUAL_TOL", None)
         proc = subprocess.run(
             [sys.executable, "-m", "solvforge.cli", "run", cfg, "--out-dir", str(out)],
             capture_output=True, text=True, env=env, timeout=120,

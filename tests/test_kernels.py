@@ -1,9 +1,11 @@
 """The blocked-scan RK4 kernel against the sequential reference loop."""
 
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import threading
 import warnings
 
 import numpy as np
@@ -22,7 +24,7 @@ from solvforge import (
     solve,
 )
 from solvforge import solver
-from solvforge._kernels import _block_length, rk4_propagate
+from solvforge._kernels import _block_length, _stacks, rk4_propagate
 
 # the scan reassociates a product of n 2x2 matrices; agreement to 1e-12 of
 # the sup norm leaves room for about (block length + blocks) * eps * growth
@@ -85,6 +87,86 @@ def test_matches_reference(inputs, blocking):
     )
     _assert_matches_reference(q, qm, step, 0.0, 1.0)
     _assert_matches_reference(q, qm, step, 0.7, -0.3)
+
+
+def _digest(*arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+
+class TestKeptStacks:
+    """Each thread reuses its scan stacks across calls of one size; the
+    outputs must still depend on the call's inputs alone."""
+
+    def test_bits_pinned(self):
+        # SHA-256 of phi and dphi as computed with freshly allocated stacks
+        pinned = {
+            4001: "fa9571001d0cdcd311897ec399af7dc028b7889a64b4bd0f6c769044e17f0563",
+            443: "c038bb1cf4a694a465704fa475ce45a7d1f13731b2c55157197ef5d0c122577f",
+        }
+        for n, want in pinned.items():
+            q, qm, step = _sample_inputs(n)
+            assert _digest(*rk4_propagate(q, qm, step, 0.7, -0.3)) == want
+
+    def test_outputs_survive_the_next_call(self):
+        q, qm, step = _sample_inputs()
+        phi, dphi = rk4_propagate(q, qm, step, 0.7, -0.3)
+        first = _digest(phi, dphi)
+        for out in (phi, dphi):
+            assert not np.shares_memory(out, _stacks.n)
+            assert not np.shares_memory(out, _stacks.g)
+        q2, qm2, _ = _forbidden_inputs(4001)
+        rk4_propagate(q2, qm2, step, 0.0, 1.0)
+        assert _digest(phi, dphi) == first
+
+    def test_alternating_sizes(self):
+        got = []
+        for n in (4001, 443, 4001):
+            q, qm, step = _sample_inputs(n)
+            _assert_matches_reference(q, qm, step, 0.7, -0.3)
+            got.append(_digest(*rk4_propagate(q, qm, step, 0.7, -0.3)))
+        assert got[2] == got[0]
+
+    def test_blowup_leaves_nothing_behind(self):
+        g = RadialGrid(0.0, 10.0, 10001)
+        v = evaluate_on_grid(parse("-3/(1+r)^2"), g)
+        h = evaluate_on_grid(parse("1"), g)
+        before = solve(v, h, 2.0, REGULAR_AT_LEFT)
+        with pytest.raises(BlowupError):
+            solve(v, h, -10000.0, REGULAR_AT_LEFT)
+        after = solve(v, h, 2.0, REGULAR_AT_LEFT)
+        assert _digest(after.values, after.derivs) == _digest(before.values, before.derivs)
+
+    def test_threads_match_sequential_bits(self):
+        g = RadialGrid(0.0, 8.0, 8001)
+        v = evaluate_on_grid(parse("-3/(1+r)^2"), g)
+        h = evaluate_on_grid(parse("1+exp(-r)"), g)
+        # four threads, each with its own 20 problems at one n
+        problems = [
+            [(-0.5 - 0.1 * k - t, JOST_AT_RIGHT if k % 2 else REGULAR_AT_LEFT) for k in range(20)]
+            for t in range(4)
+        ]
+
+        def run(jobs):
+            return [_digest(s.values, s.derivs) for s in (solve(v, h, *job) for job in jobs)]
+
+        want = [run(jobs) for jobs in problems]
+        got = [None] * len(problems)
+
+        def worker(t):
+            got[t] = run(problems[t])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(problems))]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert got == want
 
 
 def _solve_with(kernel, monkeypatch, *args):
