@@ -1,50 +1,45 @@
-"""M-fold Bargmann transformation.
+"""The generalized Bargmann transformation: K seeds over N channels.
 
-From M base solutions phi_mu at pairwise distinct gamma_mu^2 with norm-like
-constants C_mu, build the node-wise M x M matrix
+Seed k is a solution vector psi_k of the base problem (N channels, a real
+symmetric potential matrix V0) at the spectrum gamma_k^2, with a constant C_k.
+The single-channel M-fold transform is N = 1, K = M; the multichannel step is
+K = 1 with psi = Phi0 c and C = 1.  Seed spectra are rigid shifts of one
+another, so gamma_k^2 - gamma_l^2 is one number.  At every node
 
-    P_{mu nu}(r) = delta_{mu nu} + C_mu W{phi_mu, phi_nu} / (gamma_mu^2 - gamma_nu^2),
+    P_kl = delta_kl + C_k W{psi_k, psi_l} / (gamma_k^2 - gamma_l^2),
 
-whose log-determinant derivative generates the transformed potential
+with the channel-dot Wronskian W{f, g} = sum_a (f_a g_a' - f_a' g_a).  On the
+diagonal the quotient's limit, the prefix integral of h psi_k . psi_k
+(anchored at the endpoint matching the seed class), is used instead.
 
-    V = V0 - 2 sqrt(h) d/dr[(1/sqrt(h)) d/dr ln det P].
+A = P^{-1} diag(C) is symmetric and A' = -h (A psi)(A psi)^T.  With
+u_j = A psi^(j) (psi'' = V0 psi - gamma^2 h psi) and the N x N fields
+S_ij = sum_k u_i[k] psi^(j)[k]^T, everything is in closed form:
 
-The Wronskian quotient is indeterminate on the diagonal; its limit is the
-prefix integral of h phi_mu^2, so diagonal entries always use the integral
-form (anchored at the endpoint matching the seed class) while off-diagonal
-entries use the Wronskian form.
+    G   = S00 = sum_k y_k psi_k^T        (hG = (ln det P)' at N = 1)
+    G'  = S10 + S01 - G (hG)
+    G'' = S20 + 2 S11 + S02 - S10 (hG) - (hG) S01 - h' G G - G' (hG) - (hG) G'
+    V   = V0 - 2 (hG)' + h' G = V0 - 2 h G' - h' G
+    y_k = u0[k],  y' = u1 - y (hG)       (seed images, at gamma_k^2)
+    phi = phi0 - sum_k y_k K_k^T,  K_k = prefix of h psi_k . phi0,
 
-dP/dr = h c phi^T with c = diag(C) phi is rank one at every node, so every
-trace in Jacobi's formula collapses to a dot product, tr(P^{-1} a b^T) =
-b . P^{-1} a.  With u_j = P^{-1} diag(C) phi^(j) (phi'' from the governing
-equation) and s_ij = phi^(i) . u_j, t = (ln det P)' and its derivatives are
-
-    t   = h s00
-    t'  = h' s00 + h (s01 + s10) - t^2
-    t'' = h'' s00 + 2 h' (s01 + s10) + h (s02 + 2 s11 + s20)
-          - 3 t (h' s00 + h (s01 + s10)) + 2 t^3,
-
-all closed-form; no numerical differentiation enters.
-
-Transformed objects:
-
-    y_mu  = (P^{-1} c)_mu = u0_mu,  y' = u1 - h s00 u0     (bound-type, at gamma_mu^2)
-    phi   = phi0 - sum_mu y_mu K_mu,   K_mu = prefix of h phi_mu phi0,
-
-where K_mu equals W{phi_mu, phi0}/(gamma_mu^2 - gamma^2) by the Wronskian
-integral identity and stays finite as gamma^2 approaches gamma_mu^2.
+where phi0 is a base solution matrix (columns are solutions) and the prefix
+kernel K_k equals W{psi_k, phi0}/(gamma_k^2 - gamma^2), finite as gamma^2
+approaches gamma_k^2.  Arrays are entry-major, each entry one contiguous row
+over the nodes: seed rows (K, N, n), P (K, K, n), N x N fields (N, N, n).
+Sums over seeds and channels add one term at a time, in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import verify
-from .darboux import _check_direction, log_det_potential
+from .darboux import _check_direction
 from .errors import (
     DuplicateSpectralError,
     GridMismatchError,
@@ -74,124 +69,125 @@ MAX_SEEDS = 8
 MIN_SPECTRAL_GAP = 1e-8
 
 
-@dataclass(frozen=True)
-class BargmannSeed:
-    """One seed: spectral parameter gamma_mu^2, constant C_mu, base solution."""
+class _Seeds(NamedTuple):
+    """K seed vectors over N channels as the transform reads them: psi, psi'
+    and psi'' (K, N, n), C_k and the first channel's gamma_k^2 (K,)."""
 
-    gamma_sq: float
-    coeff: float
-    phi0: Solution
-
-
-@dataclass(frozen=True)
-class BargmannSeedSet:
-    """Validated seed collection together with its base problem.
-
-    Construction checks that the spectral parameters are pairwise separated,
-    that every base solution actually solves (V0, h) at its gamma_mu^2, and
-    that the boundary-condition classes are homogeneous and match the
-    integration direction (regular with from-left, Jost-type with from-right;
-    mixed sets are rejected).
-    """
-
-    seeds: tuple[BargmannSeed, ...]
-    v0: SampledField
+    direction: Direction
     h: AnalyticExpr
     h_field: SampledField
-    direction: Direction
+    coeff: np.ndarray
+    gam: np.ndarray
+    psi: np.ndarray
+    dpsi: np.ndarray
+    ddpsi: np.ndarray
 
-    def __post_init__(self):
-        m = len(self.seeds)
-        if m == 0:
-            raise ValueError("need at least one seed")
-        if m > MAX_SEEDS:
-            raise ValueError(f"seed count {m} exceeds the cap of {MAX_SEEDS}")
-        grid = self.v0.grid
-        if self.h_field.grid != grid:
-            raise GridMismatchError("weight and base potential on different grids")
-        gammas = [s.gamma_sq for s in self.seeds]
+
+def _seed_rows(direction, h, h_field, v0, gam, coeff, psi, dpsi) -> _Seeds:
+    """_Seeds of (K, N, n) rows psi, psi' on the (N, N, n) base potential v0,
+    with (K, N) seed spectra gam and (K,) constants coeff."""
+    gam = np.array(gam, dtype=float)
+    psi, dpsi = np.ascontiguousarray(psi), np.ascontiguousarray(dpsi)
+    # an overflow leaves a non-finite entry, which every later check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        ddpsi = _mat(v0, psi.swapaxes(0, 1)).swapaxes(0, 1) - gam[:, :, None] * h_field.values * psi
+    rows = (np.array(coeff, dtype=float), gam[:, 0].copy(), psi, dpsi, ddpsi)
+    for arr in rows:
+        arr.flags.writeable = False
+    return _Seeds(direction, h, h_field, *rows)
+
+
+def _mat(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Node-wise matrix product of (I, J, n) and (J, L, n) stacks: entry
+    (i, l) is sum_j x[i, j] y[j, l], one term at a time from zero."""
+    return np.einsum("ijn,jln->iln", x, y)
+
+
+def _wronskian(f, df, g, dg) -> np.ndarray:
+    """Channel-dot Wronskians sum_a (f_a g_a' - f_a' g_a) of (I, N, n) rows
+    against (N, J, n) columns, (I, J, n)."""
+    return _mat(f, dg) - _mat(df, g)
+
+
+def _kernels(seeds: _Seeds, g, dg) -> tuple[np.ndarray, np.ndarray]:
+    """Channel-dot prefix kernels of every seed k against every column b of g:
+    the oriented prefix of h psi_k . g_b and its integrand (the exact
+    derivative), (K, B, n) each.
+
+    g and dg are (N, B, n), shared by every seed, or (K, N, B, n), one stack
+    per seed.  Each integrand is integrated as plain rows, one at a time.
+    """
+    psi, dpsi = seeds.psi, seeds.dpsi
+    hv, hd = seeds.h_field.values, seeds.h_field.derivs
+    shape = psi.shape[:2] + g.shape[-2:]
+    g, dg = np.broadcast_to(g, shape), np.broadcast_to(dg, shape)
+    values, derivs = np.empty((shape[0], *shape[2:])), np.empty((shape[0], *shape[2:]))
+    # a non-finite integrand or prefix raises NonFiniteFieldError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(shape[0]):
+            hpsi, dhpsi = hv * psi[k:k + 1], hd * psi[k:k + 1] + hv * dpsi[k:k + 1]
+            derivs[k] = _mat(hpsi, g[k])[0]
+            integrand_d = _mat(dhpsi, g[k])[0] + _mat(hpsi, dg[k])[0]
+            for b in range(shape[2]):
+                values[k, b] = signed_prefix((derivs[k, b], integrand_d[b]), seeds.direction,
+                                             seeds.h_field.grid)
+    return values, derivs
+
+
+def _assemble(seeds: _Seeds) -> np.ndarray:
+    """P at every node, entry-major (K, K, n).
+
+    Row i, entry j: C_i W{psi_i, psi_j} / (gamma_i^2 - gamma_j^2) + delta_ij,
+    then the prefix form on the diagonal.  The raw Wronskian is formed for
+    i < j only; W{psi_j, psi_i} is its exact negation.  delta_ij is added to
+    every entry because adding 0.0 turns an off-diagonal -0.0 (also from that
+    negation) into +0.0, a bit of P.
+    """
+    psi, dpsi = seeds.psi, seeds.dpsi
+    coeff, gam = seeds.coeff, seeds.gam
+    m, n = psi.shape[0], psi.shape[2]
+    denom = gam[:, None] - gam[None, :]
+    np.fill_diagonal(denom, 1.0)
+    eye = np.eye(m)
+    p = np.empty((m, m, n))
+    # an overflow leaves a non-finite entry, which p_matrix names
+    with np.errstate(over="ignore", invalid="ignore"):
         for i in range(m):
-            for j in range(i + 1, m):
-                if abs(gammas[i] - gammas[j]) < MIN_SPECTRAL_GAP:
-                    raise DuplicateSpectralError(
-                        f"seed spectral parameters {gammas[i]} and {gammas[j]} "
-                        f"are closer than {MIN_SPECTRAL_GAP}"
-                    )
-        for s in self.seeds:
-            _check_direction(s.phi0.bc, self.direction)
-        for k, s in enumerate(self.seeds):
-            if s.phi0.grid != grid:
-                raise GridMismatchError(f"seed {k} sampled on a different grid")
-            report = verify.residual(self.v0, self.h_field, s.phi0, tol=SEED_RESIDUAL_TOL)
-            if not report.passed:
-                raise SeedRejectedError(report, text=f"seed {k} (gamma^2={s.gamma_sq})")
-
-    @property
-    def grid(self):
-        return self.v0.grid
-
-    @cached_property
-    def _constants(self):
-        """(C, gamma^2) of every seed, (M,)."""
-        coeff = np.array([s.coeff for s in self.seeds])
-        gam = np.array([s.gamma_sq for s in self.seeds])
-        for arr in (coeff, gam):
-            arr.flags.writeable = False
-        return coeff, gam
-
-    @cached_property
-    def _rows(self):
-        """(phi, phi', h phi, (h phi)', phi'') of every seed, seed-major (M, n).
-
-        P, the prefix integrals and the sums over seeds work one seed at a
-        time, so each seed is one contiguous row over the nodes; phi'' comes
-        from the governing equation.
-        """
-        phi = np.stack([s.phi0.values for s in self.seeds])
-        dphi = np.stack([s.phi0.derivs for s in self.seeds])
-        hv, hd = self.h_field.values, self.h_field.derivs
-        ddphi = (self.v0.values - self._constants[1][:, None] * hv) * phi
-        rows = (phi, dphi, hv * phi, hd * phi + hv * dphi, ddphi)
-        for arr in rows:
-            arr.flags.writeable = False
-        return rows
-
-
-def make_seed_set(
-    seeds: Sequence[BargmannSeed],
-    v0: SampledField,
-    h: AnalyticExpr,
-    direction: Direction = Direction.FROM_LEFT,
-) -> BargmannSeedSet:
-    """Build a BargmannSeedSet, sampling the weight on the base grid."""
-    return BargmannSeedSet(tuple(seeds), v0, h, evaluate_on_grid(h, v0.grid), direction)
+            later = psi[i + 1:].swapaxes(0, 1), dpsi[i + 1:].swapaxes(0, 1)
+            p[i, i + 1:] = _wronskian(psi[i:i + 1], dpsi[i:i + 1], *later)[0]
+            np.negative(p[i, i + 1:], out=p[i + 1:, i])
+        diag = _kernels(seeds, psi[:, :, None], dpsi[:, :, None])[0][:, 0]
+        for i in range(m):
+            row = p[i]
+            row[i] = 0.0
+            row *= coeff[i]
+            row /= denom[i][:, None]
+            row += eye[i][:, None]
+            np.multiply(coeff[i], diag[i], out=row[i])
+            row[i] += 1.0
+    return p
 
 
 @dataclass(frozen=True)
 class PMatrix:
     """LU factors and determinant of the node-wise P matrix, and the seed images.
 
-    P is assembled entry-major, (M, M, n), so that every entry is one
-    contiguous row over the nodes, and factored in that buffer: `lu` holds the
-    factors with partial pivoting (unit-lower L below the diagonal, U on and
-    above it) and `swaps` the row exchanges of each pivot column.  `entries`,
-    the (n, M, M) view of P itself, is assembled again from the seed set on
-    request.  `jacobi[j]` is u_j = P^{-1} diag(C) phi^(j) for j = 0, 1, 2, the
-    vectors of Jacobi's formula, seed-major (M, n) like the seed rows.
-
-    images[mu] = u0_mu is the bound-type solution y_mu at gamma_mu^2 and
-    images_deriv its exact derivative.  y = P^{-1} c (c_nu = C_nu phi_nu) is
-    the orientation forced by self-consistency of the transform ansatz at the
-    seed parameters: (I + diag(C) K) y = c with the symmetric
-    Wronskian-quotient kernel K, which is exactly P y = c.
+    P is assembled entry-major, (K, K, n), and factored in that buffer: `lu`
+    holds the factors with partial pivoting (unit-lower L below the diagonal,
+    U on and above it) and `swaps` the row exchanges of each pivot column.
+    `entries`, the (n, K, K) view of P, is assembled again on request.
+    `jacobi[j]` is u_j = P^{-1} diag(C) psi^(j), j = 0, 1, 2, (K, N, n) like
+    the seed rows; images = u0 are the seed images y = P^{-1} c, the
+    orientation that solves the transform ansatz at the seed parameters, and
+    images_deriv their exact derivative.
     """
 
-    seed_set: BargmannSeedSet
-    lu: np.ndarray  # (M, M, n)
+    seeds: _Seeds
+    lu: np.ndarray  # (K, K, n)
     swaps: tuple  # per pivot column k: (nodes, rows) exchanged with row k
     det: np.ndarray  # (n,)
-    jacobi: np.ndarray  # (3, M, n)
-    images_deriv: np.ndarray  # (M, n)
+    jacobi: np.ndarray  # (3, K, N, n)
+    images_deriv: np.ndarray  # (K, N, n)
 
     @property
     def m(self) -> int:
@@ -203,12 +199,12 @@ class PMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """P at every node, (n, M, M), assembled again on request."""
-        return _assemble(self.seed_set).transpose(2, 0, 1)
+        """P at every node, (n, K, K), assembled again on request."""
+        return _assemble(self.seeds).transpose(2, 0, 1)
 
     @cached_property
     def inv(self) -> np.ndarray:
-        """P^{-1} at every node, (n, M, M), solved from the factors on request."""
+        """P^{-1} at every node, (n, K, K), solved from the factors on request."""
         m, n = self.m, self.lu.shape[2]
         eye = np.broadcast_to(np.eye(m)[:, :, None], (m, m, n)).copy()
         return _lu_solve(self.lu, self.swaps, eye).transpose(2, 0, 1)
@@ -223,59 +219,6 @@ class PMatrix:
             "det_sign": int(np.sign(self.det[0])),
             "max_condition": float((norm * inv_norm).max()),
         }
-
-
-def _seed_prefix(sset: BargmannSeedSet, g, dg) -> tuple[np.ndarray, np.ndarray]:
-    """Oriented prefix integrals of h phi_mu g for every seed, as (M, n) rows
-    of values and derivatives.
-
-    g and dg are one node row shared by every seed or one row per seed.  The
-    products follow the order of ``hf * phi_mu.field * g`` and each seed is
-    integrated as a 1-D field, which is bit-identical to integrating the
-    node-first (n, M) stack column by column; the derivative channel is the
-    integrand itself.
-    """
-    hphi, hphi_d = sset._rows[2:4]
-    g, dg = np.broadcast_to(g, hphi.shape), np.broadcast_to(dg, hphi.shape)
-    values, derivs = np.empty(hphi.shape), np.empty(hphi.shape)
-    for mu in range(hphi.shape[0]):
-        f = SampledField(sset.grid, hphi[mu] * g[mu], hphi_d[mu] * g[mu] + hphi[mu] * dg[mu])
-        k = signed_prefix(f, sset.direction)
-        values[mu], derivs[mu] = k.values, k.derivs
-    return values, derivs
-
-
-def _assemble(sset: BargmannSeedSet) -> np.ndarray:
-    """P at every node, entry-major (M, M, n).
-
-    Row i, entry j: C_i W{phi_i, phi_j} / (gamma_i^2 - gamma_j^2) + delta_ij,
-    then the prefix form on the diagonal.  The raw Wronskian is formed for
-    i < j only; W{phi_j, phi_i} is its exact negation.  delta_ij is added to
-    every entry because adding 0.0 turns an off-diagonal -0.0 (also from that
-    negation) into +0.0, a bit of P.
-    """
-    phi, dphi = sset._rows[:2]
-    coeff, gam = sset._constants
-    m, n = phi.shape
-    denom = gam[:, None] - gam[None, :]
-    np.fill_diagonal(denom, 1.0)
-    eye = np.eye(m)
-    p = np.empty((m, m, n))
-    for i in range(m):
-        w = p[i, i + 1:]
-        np.multiply(phi[i], dphi[i + 1:], out=w)
-        w -= dphi[i] * phi[i + 1:]
-        np.negative(w, out=p[i + 1:, i])
-    diag = _seed_prefix(sset, phi, dphi)[0]
-    for i in range(m):
-        row = p[i]
-        row[i] = 0.0
-        row *= coeff[i]
-        row /= denom[i][:, None]
-        row += eye[i][:, None]
-        np.multiply(coeff[i], diag[i], out=row[i])
-        row[i] += 1.0
-    return p
 
 
 def _swap_rows(x: np.ndarray, k: int, rows: np.ndarray, nodes: np.ndarray) -> None:
@@ -340,12 +283,7 @@ def _lu_solve(lu: np.ndarray, swaps: tuple, b: np.ndarray) -> np.ndarray:
     return b
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """sum_mu a[mu] b[mu] over (M, n) rows, one seed at a time from zero."""
-    return np.einsum("mn,mn->n", a, b)
-
-
-def p_matrix(sset: BargmannSeedSet) -> PMatrix:
+def _factor(seeds: _Seeds) -> PMatrix:
     """Assemble P(r) at every node, factor it once in place (LU with partial
     pivoting) and solve for the Jacobi vectors u_j, whose first is the seed
     images y = P^{-1} c.
@@ -353,7 +291,7 @@ def p_matrix(sset: BargmannSeedSet) -> PMatrix:
     det P must be nonzero, finite and of constant sign across the grid;
     otherwise SingularPotentialError names the first bad node.
     """
-    lu = _assemble(sset)
+    lu = _assemble(seeds)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         det, swaps = _lu_factor(lu)
     bad = ~np.isfinite(det) | (np.abs(det) < np.finfo(float).tiny)
@@ -364,52 +302,152 @@ def p_matrix(sset: BargmannSeedSet) -> PMatrix:
             raise SingularPotentialError(k, what="det P", how="is not finite")
         raise SingularPotentialError(k, what="det P")
 
-    phi, dphi, _, _, ddphi = sset._rows
-    # each right-hand side diag(C) phi^(j) is solved in place in its slot
-    jacobi = np.stack((phi, dphi, ddphi))
-    jacobi *= sset._constants[0][:, None]
-    for rhs in jacobi:
-        _lu_solve(lu, swaps, rhs[:, None])
-    yv = jacobi[0]
-    yd = jacobi[1] - sset.h_field.values * _dot(phi, yv) * yv
-    return PMatrix(sset, lu, swaps, det, jacobi, yd)
+    # each right-hand side diag(C) psi^(j) is solved in place in its slot
+    jacobi = np.stack((seeds.psi, seeds.dpsi, seeds.ddpsi))
+    # an overflow leaves a non-finite entry, which the returned fields reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        jacobi *= seeds.coeff[:, None, None]
+        for rhs in jacobi:
+            _lu_solve(lu, swaps, rhs)
+        # y' = u1 - y (hG), G = sum_k y_k psi_k^T
+        y = jacobi[0]
+        yd = jacobi[1] - _mat(y, seeds.h_field.values * _mat(y.swapaxes(0, 1), seeds.psi))
+    return PMatrix(seeds, lu, swaps, det, jacobi, yd)
+
+
+def _potential(pm: PMatrix, v0: np.ndarray, dv0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """V = V0 - 2 h G' - h' G and its exact derivative, entry-major (N, N, n),
+    from the (N, N, n) base potential and its derivative; G, G' and G'' in
+    the closed form of the module docstring."""
+    s = pm.seeds
+    u0, u1, u2 = (u.swapaxes(0, 1) for u in pm.jacobi)
+    hv, hd = s.h_field.values, s.h_field.derivs
+    hdd = s.h.jet(s.h_field.grid.r, 2)[2]
+    # an overflow leaves a non-finite entry, which the returned fields reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _mat(u0, s.psi)
+        hg = hv * g
+        s10, s01 = _mat(u1, s.psi), _mat(u0, s.dpsi)
+        gd = s10 + s01 - _mat(g, hg)
+        gdd = (
+            _mat(u2, s.psi) + 2.0 * _mat(u1, s.dpsi) + _mat(u0, s.ddpsi)
+            - _mat(s10, hg) - _mat(hg, s01) - hd * _mat(g, g) - _mat(gd, hg) - _mat(hg, gd)
+        )
+        v = v0 - 2.0 * hv * gd - hd * g
+        vd = dv0 - 3.0 * hd * gd - 2.0 * hv * gdd - hdd * g
+    return v, vd
+
+
+def _map(pm: PMatrix, g, dg, kv, kd) -> tuple[np.ndarray, np.ndarray]:
+    """phi = phi0 - sum_k y_k K_k^T and its derivative, (N, B, n), for the
+    base solution columns g, dg (N, B, n) and the kernels kv with their
+    derivatives kd (K, B, n)."""
+    yv, yd = pm.images.swapaxes(0, 1), pm.images_deriv.swapaxes(0, 1)
+    # an overflow leaves a non-finite entry, which the returned fields reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        return g - _mat(yv, kv), dg - _mat(yd, kv) - _mat(yv, kd)
+
+
+# ---------------------------------------------------------------------------
+# the single-channel M-fold transform: N = 1, K = M
+
+
+@dataclass(frozen=True)
+class BargmannSeed:
+    """One seed: spectral parameter gamma_mu^2, constant C_mu, base solution."""
+
+    gamma_sq: float
+    coeff: float
+    phi0: Solution
+
+
+@dataclass(frozen=True)
+class BargmannSeedSet:
+    """Validated seed collection together with its base problem.
+
+    Construction checks that the spectral parameters are pairwise separated,
+    that every base solution actually solves (V0, h) at its gamma_mu^2, and
+    that the boundary-condition classes are homogeneous and match the
+    integration direction (regular with from-left, Jost-type with from-right;
+    mixed sets are rejected).
+    """
+
+    seeds: tuple[BargmannSeed, ...]
+    v0: SampledField
+    h: AnalyticExpr
+    h_field: SampledField
+    direction: Direction
+
+    def __post_init__(self):
+        m = len(self.seeds)
+        if m == 0:
+            raise ValueError("need at least one seed")
+        if m > MAX_SEEDS:
+            raise ValueError(f"seed count {m} exceeds the cap of {MAX_SEEDS}")
+        grid = self.v0.grid
+        if self.h_field.grid != grid:
+            raise GridMismatchError("weight and base potential on different grids")
+        gammas = [s.gamma_sq for s in self.seeds]
+        for i in range(m):
+            for j in range(i + 1, m):
+                if abs(gammas[i] - gammas[j]) < MIN_SPECTRAL_GAP:
+                    raise DuplicateSpectralError(
+                        f"seed spectral parameters {gammas[i]} and {gammas[j]} "
+                        f"are closer than {MIN_SPECTRAL_GAP}"
+                    )
+        for s in self.seeds:
+            _check_direction(s.phi0.bc, self.direction)
+        for k, s in enumerate(self.seeds):
+            if s.phi0.grid != grid:
+                raise GridMismatchError(f"seed {k} sampled on a different grid")
+            report = verify.residual(self.v0, self.h_field, s.phi0, tol=SEED_RESIDUAL_TOL)
+            if not report.passed:
+                raise SeedRejectedError(report, text=f"seed {k} (gamma^2={s.gamma_sq})")
+
+    @property
+    def grid(self):
+        return self.v0.grid
+
+    @cached_property
+    def _seeds(self) -> _Seeds:
+        """The seeds as rows of the transform: one channel, (M, 1, n)."""
+        phi = np.stack([s.phi0.values for s in self.seeds])[:, None]
+        dphi = np.stack([s.phi0.derivs for s in self.seeds])[:, None]
+        gam = [[s.gamma_sq] for s in self.seeds]
+        return _seed_rows(self.direction, self.h, self.h_field, self.v0.values[None, None], gam,
+                          [s.coeff for s in self.seeds], phi, dphi)
+
+
+def make_seed_set(
+    seeds: Sequence[BargmannSeed],
+    v0: SampledField,
+    h: AnalyticExpr,
+    direction: Direction = Direction.FROM_LEFT,
+) -> BargmannSeedSet:
+    """Build a BargmannSeedSet, sampling the weight on the base grid."""
+    return BargmannSeedSet(tuple(seeds), v0, h, evaluate_on_grid(h, v0.grid), direction)
+
+
+def p_matrix(sset: BargmannSeedSet) -> PMatrix:
+    """Assemble and factor P(r) of the seed set (see _factor)."""
+    return _factor(sset._seeds)
 
 
 def bargmann_potential(sset: BargmannSeedSet, pm: PMatrix | None = None) -> SampledField:
-    """Transformed potential V = V0 - 2 sqrt(h) d/dr[(1/sqrt(h)) (ln det P)'].
-
-    With t = tr(P^{-1} P') this is V0 + (h'/h) t - 2 t'; t, t' and t'' come
-    from Jacobi's formula in the rank-one form of the module docstring, so
-    the result (and its derivative channel) is exact up to rounding.
-    """
+    """Transformed potential V = V0 - 2 h G' - h' G with G = sum_mu y_mu phi_mu,
+    which is V0 - 2 sqrt(h) d/dr[(1/sqrt(h)) (ln det P)'], with its exact
+    derivative channel."""
     if pm is None:
         pm = p_matrix(sset)
-    phi, dphi, _, _, ddphi = sset._rows
-    hf = sset.h_field
-    hv, hd = hf.values, hf.derivs
-    hdd = sset.h.jet(sset.grid.r, 2)[2]
-
-    u0, u1, u2 = pm.jacobi
-    s00 = _dot(phi, u0)
-    s_1 = _dot(phi, u1) + _dot(dphi, u0)
-    t = hv * s00
-    trace_p2 = hd * s00 + hv * s_1  # tr(P^{-1} P'')
-    td = trace_p2 - t * t
-    tdd = (
-        hdd * s00
-        + 2.0 * hd * s_1
-        + hv * (_dot(phi, u2) + 2.0 * _dot(dphi, u1) + _dot(ddphi, u0))
-        - 3.0 * t * trace_p2
-        + 2.0 * t * t * t
-    )
-    return log_det_potential(sset.v0, hf, hdd, t, td, tdd)
+    v, vd = _potential(pm, sset.v0.values[None, None], sset.v0.derivs[None, None])
+    return SampledField(sset.grid, v[0, 0], vd[0, 0])
 
 
 def transformed_seed_solutions(sset: BargmannSeedSet, pm: PMatrix | None = None) -> list[Solution]:
     """Bound-type solutions y_mu of the transformed potential at gamma_mu^2."""
     if pm is None:
         pm = p_matrix(sset)
-    yv, yd = pm.images, pm.images_deriv
+    yv, yd = pm.images[:, 0], pm.images_deriv[:, 0]
     return [
         Solution(s.gamma_sq, SampledField(sset.grid, yv[k], yd[k]),
                  CustomBC(float(yv[k, 0]), float(yd[k, 0]), "left"))
@@ -433,20 +471,17 @@ def bargmann_solution(sset: BargmannSeedSet, pm: PMatrix, phi0: Solution) -> Sol
     if phi0.grid != sset.grid:
         raise GridMismatchError("solution lives on a different grid")
     _check_direction(phi0.bc, sset.direction)
-    gaps = np.abs(sset._constants[1] - phi0.gamma_sq)
+    gaps = np.abs(pm.seeds.gam - phi0.gamma_sq)
     if np.any(gaps < MIN_SPECTRAL_GAP):
         k = int(np.argmin(gaps))
         raise DuplicateSpectralError(
             f"gamma^2 = {phi0.gamma_sq} coincides with seed {k}; "
             "use transformed_seed_solutions for the seed parameters"
         )
-    kv, kd = _seed_prefix(sset, phi0.values, phi0.derivs)
-    yv, yd = pm.images, pm.images_deriv
-
-    out = phi0.values - _dot(yv, kv)
-    outd = phi0.derivs - _dot(yd, kv) - _dot(yv, kd)
+    g, dg = phi0.values[None, None], phi0.derivs[None, None]
+    out, outd = _map(pm, g, dg, *_kernels(pm.seeds, g, dg))
     return Solution(
         phi0.gamma_sq,
-        SampledField(sset.grid, out, outd),
-        CustomBC(float(out[0]), float(outd[0]), "left"),
+        SampledField(sset.grid, out[0, 0], outd[0, 0]),
+        CustomBC(float(out[0, 0, 0]), float(outd[0, 0, 0]), "left"),
     )

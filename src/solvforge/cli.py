@@ -69,6 +69,7 @@ from .solver import (
     BoundaryCondition,
     CustomBC,
     Solution,
+    _check_weight,
     bc_for,
     seed_from_expression,
     solve,
@@ -341,9 +342,9 @@ def _read_samples(path: str, expected_header: list[str]) -> dict[str, np.ndarray
 # Bounds that keep one run's memory finite.  Peak RSS of `forge run`, each in
 # a fresh process with two eval_gammas (2-vCPU Xeon, Python 3.11, numpy 2.4):
 # bargmann with MAX_SEEDS = 8 seeds, 60/110/260 MB at n = 10001/30001/100001,
-# ~2.2 kB per node; multichannel with MAX_CHANNELS channels, 186/490/794 MB at
-# n = 10001/30001/50001, ~15 kB per node.  At MAX_NODES that extrapolates to
-# ~0.5 and ~3.1 GB.  cmd_run holds every solution's columns until the write:
+# ~2.2 kB per node; multichannel with MAX_CHANNELS channels, 191/347/504 MB at
+# n = 10001/20001/30001, ~15.6 kB per node.  At MAX_NODES that extrapolates to
+# ~0.5 and ~3.2 GB.  cmd_run holds every solution's columns until the write:
 # each further eval_gammas entry with MAX_CHANNELS channels adds ~1 kB per node
 # (+10 MB at n = 10001 and +30 MB at n = 30001 per entry, measured from 2 to 16
 # entries), so MAX_EVAL_GAMMAS entries add ~14 kB per node, ~2.9 GB extrapolated
@@ -550,6 +551,7 @@ def _single_channel(cfg: _Config) -> _Job:
         v0f = evaluate_on_grid(cfg.v0[0], grid)
     except DomainError as exc:
         raise ConfigError(f"base expressions not evaluable on the grid: {exc}") from exc
+    _check_weight(hf)
 
     seeds = [
         BargmannSeed(s.gamma_sq, s.coeff, solve(v0f, hf, s.gamma_sq, s.bc) if s.expr is None
@@ -665,7 +667,7 @@ def cmd_run(args) -> int:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir!r}: {exc.strerror}") from exc
-    paths = {name: os.path.join(out_dir, f"{prefix}_{name}.csv") for name in artifacts}
+    files = {name: f"{prefix}_{name}.csv" for name in artifacts}
 
     report = {
         "tool": {"name": "solvforge", "version": __version__, "kernel": kernel_backend()},
@@ -674,14 +676,14 @@ def cmd_run(args) -> int:
         "mode": cfg.mode,
         "tolerance": cfg.tol,
         "residuals": residuals,
-        "artifacts": paths,
+        "artifacts": files,
         "all_passed": all_passed,
         **extras,
     }
     report_path = os.path.join(out_dir, f"{prefix}_report.json")
     report_text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _write_run([(paths[name], *table) for name, table in artifacts.items()], cfg.grid.r,
-               (report_path, report_text))
+    _write_run([(os.path.join(out_dir, files[name]), *table) for name, table in artifacts.items()],
+               cfg.grid.r, (report_path, report_text))
     print(report_path)
     return EXIT_OK if all_passed else EXIT_RESIDUAL
 
@@ -717,6 +719,7 @@ def cmd_verify(args) -> int:
 
     h_expr = _parse_expr(args.h, "--h")
     hf = evaluate_on_grid(h_expr, grid)
+    _check_weight(hf)
     vf = SampledField(grid, pot["V"], dV)
     phi = Solution(
         gamma_sq,

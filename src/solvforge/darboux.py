@@ -89,8 +89,8 @@ def _extrapolate(vals: np.ndarray, idx: int) -> float:
 def log_det_potential(V0: SampledField, hf: SampledField, hdd, t, td, tdd) -> SampledField:
     """V = V0 - 2 sqrt(h) d/dr[(1/sqrt(h)) t] = V0 + (h'/h) t - 2 t', with its
     derivative channel, for t = (ln F)' of the transform's factor F (y for
-    the Darboux step, which adds the weight term, P for the chain, det P for
-    a seed set); hdd is h'' and td, tdd are t', t''."""
+    the Darboux step, which adds the weight term, P for the chain); hdd is
+    h'' and td, tdd are t', t''."""
     hv, hd = hf.values, hf.derivs
     # a non-finite t (an overflowed factor) is rejected by the returned field
     with np.errstate(over="ignore", invalid="ignore"):

@@ -207,30 +207,45 @@ def _prefix_from_left(values: np.ndarray, derivs: np.ndarray, step: float) -> np
     return out
 
 
+def _signed_prefix(values, derivs, step: float, direction: Direction) -> np.ndarray:
+    """Oriented prefix values (see signed_prefix) of plain rows; negation is exact."""
+    if direction is Direction.FROM_LEFT:
+        return _prefix_from_left(values, derivs, step)
+    return -_prefix_from_left(values[::-1], -derivs[::-1], step)[::-1]
+
+
 def integrate_prefix(f: SampledField, direction: Direction) -> SampledField:
     """Cumulative integral of f: from a to r (FROM_LEFT) or r to b (FROM_RIGHT).
 
     The derivative channel of the result is exact: +f values for FROM_LEFT,
     -f values for FROM_RIGHT.
     """
-    step = f.grid.step
+    vals = _signed_prefix(f.values, f.derivs, f.grid.step, direction)
     if direction is Direction.FROM_LEFT:
-        vals = _prefix_from_left(f.values, f.derivs, step)
         return SampledField(f.grid, vals, f.values)
-    rev = _prefix_from_left(f.values[::-1], -f.derivs[::-1], step)
-    return SampledField(f.grid, rev[::-1], -f.values)
+    return SampledField(f.grid, -vals, -f.values)
 
 
-def signed_prefix(f: SampledField, direction: Direction) -> SampledField:
+def signed_prefix(f, direction: Direction, grid: RadialGrid | None = None):
     """Oriented prefix integral vanishing at the anchor endpoint.
 
     FROM_LEFT gives integral from a to r; FROM_RIGHT gives the integral from
     b to r (the negative of the r-to-b integral).  With this orientation the
     derivative is +f in both cases, which is the form entering the Wronskian
     integral identity and the P-matrix diagonal.
+
+    f is a SampledField, and so is the result.  Given a grid, f is instead a
+    (values, derivs) pair of plain rows on it and the result the plain row of
+    prefix values: nothing is copied, and a non-finite integrand or prefix
+    raises NonFiniteFieldError at its first bad node, as a field would.
     """
-    if direction is Direction.FROM_LEFT:
-        return integrate_prefix(f, direction)
-    # negation is exact, so this is -integrate_prefix(f, FROM_RIGHT) bit for bit
-    rev = _prefix_from_left(f.values[::-1], -f.derivs[::-1], f.grid.step)
-    return SampledField(f.grid, -rev[::-1], f.values)
+    if grid is None:
+        return SampledField(f.grid, _signed_prefix(f.values, f.derivs, f.grid.step, direction),
+                            f.values)
+    values, derivs = f
+    out = _signed_prefix(values, derivs, grid.step, direction)
+    for what, row in (("values", values), ("derivs", derivs), ("prefix", out)):
+        bad = ~np.isfinite(row)
+        if bad.any():
+            raise NonFiniteFieldError(what, int(np.flatnonzero(bad)[0]))
+    return out

@@ -120,12 +120,17 @@ def default_grid() -> RadialGrid:
     return RadialGrid(0.0, 10.0, 10001)
 
 
-def _check_inputs(V: SampledField, h: SampledField) -> None:
-    if V.grid != h.grid:
-        raise GridMismatchError("potential and weight sampled on different grids")
+def _check_weight(h: SampledField) -> None:
+    """InvalidWeightError at the first node where h is not positive."""
     nonpos = h.values <= 0.0
     if np.any(nonpos):
         raise InvalidWeightError(int(np.flatnonzero(nonpos)[0]))
+
+
+def _check_inputs(V: SampledField, h: SampledField) -> None:
+    if V.grid != h.grid:
+        raise GridMismatchError("potential and weight sampled on different grids")
+    _check_weight(h)
 
 
 def solve(

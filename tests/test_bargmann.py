@@ -35,8 +35,7 @@ from solvforge import (
     solve,
     transformed_seed_solutions,
 )
-from solvforge.bargmann import _lu_factor, _lu_solve, _seed_prefix
-from solvforge.darboux import log_det_potential
+from solvforge.bargmann import _kernels, _lu_factor, _lu_solve
 
 P_AT_1 = 1.4067151019617546
 
@@ -237,8 +236,8 @@ class TestInPlaceFactorization:
 
 
 class TestSeedRows:
-    """_seed_prefix integrates seed by seed; the rows must keep the bits of the
-    node-first (n, M) stack integrated in one signed_prefix call."""
+    """_kernels integrates seed by seed as plain rows; they must keep the bits
+    of the node-first (n, M) stack integrated in one signed_prefix call."""
 
     @staticmethod
     def _stacked_route(sset, g, dg):
@@ -267,14 +266,17 @@ class TestSeedRows:
         phi_rows = np.stack([s.phi0.values for s in seeds])
         dphi_rows = np.stack([s.phi0.derivs for s in seeds])
         cases = [
-            (phi_rows, dphi_rows, phi_rows.T, dphi_rows.T),  # the diagonal of P
-            (phi0.values, phi0.derivs, phi0.values[:, None], phi0.derivs[:, None]),  # a map
+            # the diagonal of P: one (N, B) = (1, 1) stack per seed
+            (phi_rows[:, None, None], dphi_rows[:, None, None], phi_rows.T, dphi_rows.T),
+            # a map: one stack shared by every seed
+            (phi0.values[None, None], phi0.derivs[None, None], phi0.values[:, None],
+             phi0.derivs[:, None]),
         ]
         for g_rows, dg_rows, g_stack, dg_stack in cases:
-            values, derivs = _seed_prefix(sset, g_rows, dg_rows)
+            values, derivs = _kernels(sset._seeds, g_rows, dg_rows)
             ref = self._stacked_route(sset, g_stack, dg_stack)
-            assert np.array_equal(values, ref.values.T)
-            assert np.array_equal(derivs, ref.derivs.T)
+            assert np.array_equal(values[:, 0], ref.values.T)
+            assert np.array_equal(derivs[:, 0], ref.derivs.T)
 
 
 class TestFactorization:
@@ -384,8 +386,8 @@ class TestRankOneJacobi:
         assert _sup_rel(v.values, ref.values) < 1e-13
         assert _sup_rel(v.derivs, ref.derivs) < 1e-13
         yv, yd = dense_seed_images(sset, pm)
-        assert _sup_rel(pm.images.T, yv) < 1e-13
-        assert _sup_rel(pm.images_deriv.T, yd) < 1e-13
+        assert _sup_rel(pm.images[:, 0].T, yv) < 1e-13
+        assert _sup_rel(pm.images_deriv[:, 0].T, yd) < 1e-13
 
 
 def _seed_sum(a, b):
@@ -397,7 +399,8 @@ def _seed_sum(a, b):
 
 
 class TestSeedSums:
-    """Every sum over seeds adds seed by seed from zero, over seed-major rows."""
+    """Every sum over seeds adds seed by seed from zero, over seed-major rows;
+    with one channel every product of the N x N fields is one product."""
 
     @pytest.mark.parametrize("frame", ["regular", "jost"])
     @pytest.mark.parametrize("m", [3, 8])
@@ -405,36 +408,38 @@ class TestSeedSums:
         sset = _weighted_set(m, frame)
         pm = p_matrix(sset)
         n = sset.grid.n
-        assert pm.jacobi.shape == (3, m, n)
-        assert pm.images.shape == pm.images_deriv.shape == (m, n)
-        phi, dphi, _, _, ddphi = sset._rows
-        u0, u1, u2 = pm.jacobi
+        assert pm.jacobi.shape == (3, m, 1, n)
+        assert pm.images.shape == pm.images_deriv.shape == (m, 1, n)
+        phi = np.stack([s.phi0.values for s in sset.seeds])
+        dphi = np.stack([s.phi0.derivs for s in sset.seeds])
         hf = sset.h_field
         hv, hd = hf.values, hf.derivs
+        v0 = sset.v0.values
+        gam = np.array([s.gamma_sq for s in sset.seeds])[:, None]
+        ddphi = v0 * phi - gam * hv * phi
+        assert np.array_equal(sset._seeds.ddpsi[:, 0], ddphi)
+        u0, u1, u2 = pm.jacobi[:, :, 0]
 
-        assert np.array_equal(pm.images_deriv, u1 - hv * _seed_sum(phi, u0) * u0)
+        assert np.array_equal(pm.images_deriv[:, 0], u1 - hv * _seed_sum(phi, u0) * u0)
 
         hdd = sset.h.jet(sset.grid.r, 2)[2]
-        s00 = _seed_sum(phi, u0)
-        s_1 = _seed_sum(phi, u1) + _seed_sum(dphi, u0)
-        t = hv * s00
-        trace_p2 = hd * s00 + hv * s_1
-        tdd = (
-            hdd * s00
-            + 2.0 * hd * s_1
-            + hv * (_seed_sum(phi, u2) + 2.0 * _seed_sum(dphi, u1) + _seed_sum(ddphi, u0))
-            - 3.0 * t * trace_p2
-            + 2.0 * t * t * t
+        g = _seed_sum(u0, phi)
+        hg = hv * g
+        s10, s01 = _seed_sum(u1, phi), _seed_sum(u0, dphi)
+        gd = s10 + s01 - g * hg
+        gdd = (
+            _seed_sum(u2, phi) + 2.0 * _seed_sum(u1, dphi) + _seed_sum(u0, ddphi)
+            - s10 * hg - hg * s01 - hd * (g * g) - gd * hg - hg * gd
         )
-        ref = log_det_potential(sset.v0, hf, hdd, t, trace_p2 - t * t, tdd)
         v = bargmann_potential(sset, pm)
-        assert np.array_equal(v.values, ref.values)
-        assert np.array_equal(v.derivs, ref.derivs)
+        assert np.array_equal(v.values, v0 - 2.0 * hv * gd - hd * g)
+        assert np.array_equal(v.derivs, sset.v0.derivs - 3.0 * hd * gd - 2.0 * hv * gdd - hdd * g)
 
         bc = sset.seeds[0].phi0.bc
         phi0 = solve(sset.v0, hf, -0.3, bc)
-        kv, kd = _seed_prefix(sset, phi0.values, phi0.derivs)
-        yv, yd = pm.images, pm.images_deriv
+        kv, kd = (k[:, 0] for k in _kernels(sset._seeds, phi0.values[None, None],
+                                           phi0.derivs[None, None]))
+        yv, yd = pm.images[:, 0], pm.images_deriv[:, 0]
         out = bargmann_solution(sset, pm, phi0)
         assert np.array_equal(out.values, phi0.values - _seed_sum(yv, kv))
         assert np.array_equal(out.derivs, phi0.derivs - _seed_sum(yd, kv) - _seed_sum(yv, kd))

@@ -513,6 +513,18 @@ class TestConfigErrors:
         assert main(["run", _write_config(tmp_path / "job.json", cfg)]) == 2
         assert [p.name for p in tmp_path.rglob("*")] == ["job.json"]
 
+    @pytest.mark.parametrize("h", ["-1", "r-5"])
+    def test_non_positive_weight_exits_2(self, tmp_path, capsys, h):
+        # checked right after sampling, before the analytic seed is gated
+        out = tmp_path / "out"
+        cfg = json.loads((REPO / "configs" / "one_soliton_well.json").read_text())
+        cfg["base"]["h"] = h
+        assert main(["run", _write_config(tmp_path / "job.json", cfg), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: weight function must be positive; violated at node 0\n"
+        )
+        assert not out.exists()
+
     def test_non_uniform_multichannel_shift(self, tmp_path):
         cfg = {
             "grid": {"a": 0.0, "b": 2.0, "n": 2001},
@@ -591,6 +603,19 @@ class TestVerifySubcommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("h", ["-1", "r-5"])
+    def test_non_positive_weight_exits_2(self, tmp_path, capsys, h):
+        out = tmp_path / "out"
+        assert main(["run", str(REPO / "configs" / "three_bound_states.json"),
+                     "--out-dir", str(out)]) == 0
+        capsys.readouterr()
+        rc = main(["verify", str(out / "bound3_potential.csv"), str(out / "bound3_solution_000.csv"),
+                   "--h", h, "--gamma-sq", "0.4"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: weight function must be positive; violated at node 0\n"
 
     def test_grid_whose_step_underflows_exits_2(self, tmp_path, capsys):
         r = [k * 1e-310 for k in range(11)]
@@ -765,6 +790,21 @@ class TestOutDirOverride:
         assert rc == 0
         assert (override / "well_potential.csv").exists()
         assert not (tmp_path / "ignored").exists()
+
+
+class TestReportArtifacts:
+    def test_report_bytes_do_not_depend_on_the_out_dir(self, tmp_path):
+        # a report names its artifacts relative to its own directory
+        cfg = str(REPO / "configs" / "three_bound_states.json")
+        reports = []
+        for out in (tmp_path / "one", tmp_path / "two" / "nested"):
+            assert main(["run", cfg, "--out-dir", str(out)]) == 0
+            reports.append((out / "bound3_report.json").read_bytes())
+        assert reports[0] == reports[1]
+        files = json.loads(reports[0])["artifacts"]
+        assert sorted(files.values()) == sorted(
+            p.name for p in (tmp_path / "one").iterdir() if p.name != "bound3_report.json"
+        )
 
 
 class TestVerifyTolFlag:

@@ -336,8 +336,11 @@ def _check_jet(e: AnalyticExpr, pts) -> None:
     assert jet.shape == sym.shape
     for k in range(4):
         scale = 1.0 + np.max(np.abs(sym[k]))
-        if mags[k] > 100.0 * scale:
-            scale = 1.0 + mags[k]
+        # near the top of the double range 100 * scale overflows to inf,
+        # which compares as the exact product would
+        with np.errstate(over="ignore"):
+            if mags[k] > 100.0 * scale:
+                scale = 1.0 + mags[k]
         assert np.max(np.abs(jet[k] - sym[k])) <= JET_TOL * scale, (str(e), k)
 
 

@@ -6,6 +6,8 @@ from functools import partial
 import numpy as np
 import pytest
 
+import multichannel_reference as ref
+import solvforge.multichannel as multichannel_module
 from conftest import const, fd4
 from solvforge import (
     REGULAR_AT_LEFT,
@@ -54,30 +56,29 @@ def _channel_potential(cs, a):
 
 def test_two_channel_bits_pinned(two_channel):
     # configs/two_channel.json at its first eval_gammas entry: the exact bits
-    # of the potential, seed vectors, D and both solution forms
+    # of the potential, seed vectors, D (the 1 x 1 P) and both solution forms
     cs = two_channel
     gnew = [gp + 1.0 for gp in cs.gamma_prime_sq]
     fields = {
         "potential": multichannel_potential(cs),
         "psi0": seed_vectors(cs),
         "psi": transformed_seed_vectors(cs),
-        "D": transform_denominator(cs),
         "integral": multichannel_solution(cs, gnew),
         "wronskian": multichannel_solution(cs, gnew, form="wronskian"),
     }
+    arrays = {name: (f.values, f.derivs) for name, f in fields.items()}
+    arrays["D"] = (transform_denominator(cs).entries,)
     digests = {
-        name: hashlib.sha256(
-            np.ascontiguousarray(f.values).tobytes() + np.ascontiguousarray(f.derivs).tobytes()
-        ).hexdigest()
-        for name, f in fields.items()
+        name: hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrs)).hexdigest()
+        for name, arrs in arrays.items()
     }
     assert digests == {
-        "potential": "1bfc7ba1822bb6d6d385dea936daca67190d07b9cfa46c00b4e2685b01c946c5",
+        "potential": "a23259f00a9ee8a8e363f02d19869bbadc0e95bba044049db2c7bd73b890d678",
         "psi0": "57f3d082901c298578b0207a95066917bf36ac78ed9cb6489904aceadcc54dbd",
-        "psi": "366774bb320de09fcbacaf5e5cfe10ac948c17ef03b7259995a68ce77082aa7a",
-        "D": "f1323662e4dcaa8bb78d005a43f677e8d11a3c65b6e810a03347107896886073",
-        "integral": "dd6c9b452518e907439f0da1ea1ef419478995db7ef6f021a17198068d08100c",
-        "wronskian": "a23789d0bc72bb4c63eac15384af51e752546ee59525ff8086b09bbcadc9a960",
+        "psi": "9f35f2bccdb5c342ac31115a42c64919404b58b56ec1dbd0a30d0d9683ca776f",
+        "D": "90ef811199eb6cb7a316dad631b726b8825c33fa39f0c02d69964d7ec2340054",
+        "integral": "b85b6b418861686f1f0ab79edc84e1573cbff341cc788e63e187eecb9d2aac7d",
+        "wronskian": "d4a7cf404dadd00331e7a2df47475eb46b12bf12301238bc4691ea94afef7da8",
     }
 
 
@@ -125,7 +126,7 @@ class TestDenominator:
         g = RadialGrid(0.0, 2.0, 2001)
         cs = diagonal_base_system(["0"], "1", g, [-1.0], [0.0])
         d = transform_denominator(cs)
-        assert np.all(d.values == 1.0)
+        assert np.all(d.entries == 1.0)
         psi = transformed_seed_vectors(cs)
         assert np.all(psi.values == 0.0)
 
@@ -133,11 +134,11 @@ class TestDenominator:
         g = RadialGrid(0.0, 1.0, 1001)
         cs = diagonal_base_system(["0"], "1", g, [-1.0], [1.0])
         d = transform_denominator(cs)
-        assert d.values[-1] == pytest.approx(D_AT_1, abs=1e-10)
+        assert d.entries[-1, 0, 0] == pytest.approx(D_AT_1, abs=1e-10)
 
     def test_monotone_from_left(self, two_channel):
-        d = transform_denominator(two_channel)
-        assert np.all(np.diff(d.values) >= -1e-15)
+        d = transform_denominator(two_channel).entries[:, 0, 0]
+        assert np.all(np.diff(d) >= -1e-15)
 
 
 class TestPotentialMatrix:
@@ -183,7 +184,7 @@ class TestPotentialMatrix:
         assert np.max(np.abs(v_mc - v_b.values)) < 1e-10
 
         d = transform_denominator(cs)
-        assert np.max(np.abs(d.values - pm.entries[:, 0, 0])) < 1e-12
+        assert np.max(np.abs(d.entries - pm.entries)) < 1e-12
 
     def test_asymmetric_base_rejected(self):
         g = RadialGrid(0.0, 2.0, 2001)
@@ -282,7 +283,7 @@ class TestSolutionMatrix:
             direction=Direction.FROM_RIGHT,
         )
         d = transform_denominator(cs)
-        assert np.all(d.values > 0)
+        assert np.all(d.entries > 0)
         v = multichannel_potential(cs)
         assert np.max(np.abs(v.values[:, 0, 1] - v.values[:, 1, 0])) < 1e-12
         gnew = [gp - 0.75 for gp in cs.gamma_prime_sq]
@@ -339,3 +340,81 @@ def test_two_steps_on_a_coupled_base(frame, n):
         - multichannel_solution(cs2, gnew, form="wronskian").values
     ))
     assert gap < 1e-7
+
+
+# The merged transform against the former multichannel step, kept verbatim in
+# multichannel_reference.py.  Per case: the diagonal base V0, h, the interval,
+# the seed spectra, c, the direction and two rigid shifts of the evaluation
+# spectra.  Negative and zero entries of c, and an all-zero c, are included.
+REFERENCE_CASES = {
+    "n1-left": (["-exp(-r)"], "1 + exp(-r)", (0.0, 4.0), [-1.0], [0.8], Direction.FROM_LEFT,
+                (1.2, -0.4)),
+    "n1-right-negative-c": (["0"], "1", (0.0, 10.0), [-1.0], [-0.6], Direction.FROM_RIGHT,
+                            (-0.75, 0.3)),
+    "n2-left": (["0", "-2/(1+r)^2"], "1 + exp(-r)", (0.0, 5.0), [-1.0, -1.5], [0.6, 0.4],
+                Direction.FROM_LEFT, (1.0, 2.5)),
+    "n2-right-zero-c-entry": (["0", "0.2*exp(-r)"], "1", (0.0, 10.0), [-1.0, -2.25], [0.0, 0.4],
+                              Direction.FROM_RIGHT, (-0.5, 0.25)),
+    "n2-left-all-zero-c": (["0", "-exp(-r)"], "1", (0.0, 3.0), [-1.0, -2.0], [0.0, 0.0],
+                           Direction.FROM_LEFT, (0.5, 1.5)),
+    "n3-left-negative-c": (["0", "-2/(1+r)^2", "-exp(-r)"], "1 + exp(-r)", (0.0, 5.0),
+                           [-1.0, -1.5, -2.0], [0.6, -0.3, 0.2], Direction.FROM_LEFT, (1.0, -0.5)),
+    "n3-right": (["0", "0.2*exp(-r)", "0.1*exp(-2*r)"], "1 + 0.5*exp(-r)", (0.0, 10.0),
+                 [-1.0, -1.5, -2.25], [0.3, 0.25, -0.2], Direction.FROM_RIGHT, (-0.6, 0.4)),
+}
+#: sup-relative agreement with the reference, fixed before it was measured
+REFERENCE_TOL = 1e-12
+
+
+def _reference_gaps(cs, ocs, shifts):
+    """sup|new - old| / sup|old| of V, V', psi, psi', D and both solution
+    forms (values and derivatives) at each shift, for a system and its
+    reference built alike; an exactly zero reference must be matched exactly."""
+    v, ov = multichannel_potential(cs), ref.multichannel_potential(ocs)
+    psi, opsi = transformed_seed_vectors(cs), ref.transformed_seed_vectors(ocs)
+    pairs = {
+        "V": (v.values, ov.values),
+        "V'": (v.derivs, ov.derivs),
+        "psi": (psi.values, opsi.values),
+        "psi'": (psi.derivs, opsi.derivs),
+        "D": (transform_denominator(cs).entries[:, 0, 0], ref.transform_denominator(ocs).values),
+    }
+    for delta in shifts:
+        gnew = [gp + delta for gp in cs.gamma_prime_sq]
+        for form in ("integral", "wronskian"):
+            a = multichannel_solution(cs, gnew, form=form)
+            b = ref.multichannel_solution(ocs, gnew, form=form)
+            pairs[f"{form} phi at {delta}"] = (a.values, b.values)
+            pairs[f"{form} phi' at {delta}"] = (a.derivs, b.derivs)
+    gaps = {}
+    for name, (a, b) in pairs.items():
+        scale, gap = np.max(np.abs(b)), np.max(np.abs(a - b))
+        gaps[name] = gap / scale if scale > 0 else (0.0 if gap == 0 else np.inf)
+    return gaps
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+def test_agrees_with_the_former_transform(case):
+    v0_diag, h, (a, b), gp, c, direction, shifts = REFERENCE_CASES[case]
+    grid = RadialGrid(a, b, 2001)
+    args = dict(v0_diagonal=v0_diag, h=h, grid=grid, gamma_prime_sq=gp, c=c, direction=direction)
+    cs, ocs = diagonal_base_system(**args), ref.diagonal_base_system(**args)
+    gaps = _reference_gaps(cs, ocs, shifts)
+    assert {name: gap for name, gap in gaps.items() if gap > REFERENCE_TOL} == {}
+
+
+@pytest.mark.parametrize("frame", sorted(COMPOSED_FRAMES))
+def test_agrees_with_the_former_transform_on_a_coupled_base(frame):
+    # step 2 of test_two_steps_on_a_coupled_base, each side on its own step 1
+    step1, (a, b), shift, c2, deltas, _ = COMPOSED_FRAMES[frame]
+    grid = RadialGrid(a, b, 2501)
+    systems = []
+    for mod in (multichannel_module, ref):
+        cs1 = mod.diagonal_base_system(grid=grid, **step1)
+        systems.append(mod.ChannelSystem(
+            grid, cs1.h, cs1.h_field, mod.multichannel_potential(cs1),
+            partial(mod.multichannel_solution, cs1),
+            tuple(gp + shift for gp in cs1.gamma_prime_sq), c2, cs1.direction,
+        ))
+    gaps = _reference_gaps(*systems, deltas[:2])
+    assert {name: gap for name, gap in gaps.items() if gap > REFERENCE_TOL} == {}
