@@ -134,8 +134,15 @@ def _kernels(seeds: _Seeds, g, dg) -> tuple[np.ndarray, np.ndarray]:
     return values, derivs
 
 
-def _assemble(seeds: _Seeds) -> np.ndarray:
-    """P at every node, entry-major (K, K, n).
+def _diagonal(seeds: _Seeds) -> np.ndarray:
+    """The prefix integral of h psi_k . psi_k at every node, (K, n): the
+    diagonal of P before C_k and delta_kk."""
+    return _kernels(seeds, seeds.psi[:, :, None], seeds.dpsi[:, :, None])[0][:, 0]
+
+
+def _assemble(seeds: _Seeds, diag: np.ndarray, nodes: slice = slice(None)) -> np.ndarray:
+    """P at the nodes of a slice, entry-major (K, K, len), from the full
+    diagonal prefix diag (K, n) of _diagonal.
 
     Row i, entry j: C_i W{psi_i, psi_j} / (gamma_i^2 - gamma_j^2) + delta_ij,
     then the prefix form on the diagonal.  The raw Wronskian is formed for
@@ -143,7 +150,7 @@ def _assemble(seeds: _Seeds) -> np.ndarray:
     every entry because adding 0.0 turns an off-diagonal -0.0 (also from that
     negation) into +0.0, a bit of P.
     """
-    psi, dpsi = seeds.psi, seeds.dpsi
+    psi, dpsi, diag = seeds.psi[..., nodes], seeds.dpsi[..., nodes], diag[:, nodes]
     coeff, gam = seeds.coeff, seeds.gam
     m, n = psi.shape[0], psi.shape[2]
     denom = gam[:, None] - gam[None, :]
@@ -156,7 +163,6 @@ def _assemble(seeds: _Seeds) -> np.ndarray:
             later = psi[i + 1:].swapaxes(0, 1), dpsi[i + 1:].swapaxes(0, 1)
             p[i, i + 1:] = _wronskian(psi[i:i + 1], dpsi[i:i + 1], *later)[0]
             np.negative(p[i, i + 1:], out=p[i + 1:, i])
-        diag = _kernels(seeds, psi[:, :, None], dpsi[:, :, None])[0][:, 0]
         for i in range(m):
             row = p[i]
             row[i] = 0.0
@@ -170,28 +176,25 @@ def _assemble(seeds: _Seeds) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PMatrix:
-    """LU factors and determinant of the node-wise P matrix, and the seed images.
+    """Determinant of the node-wise P matrix, its Jacobi vectors and the seed
+    images.
 
-    P is assembled entry-major, (K, K, n), and factored in that buffer: `lu`
-    holds the factors with partial pivoting (unit-lower L below the diagonal,
-    U on and above it) and `swaps` the row exchanges of each pivot column.
-    `entries`, the (n, K, K) view of P, is assembled again on request.
-    `jacobi[j]` is u_j = P^{-1} diag(C) psi^(j), j = 0, 1, 2, (K, N, n) like
-    the seed rows; images = u0 are the seed images y = P^{-1} c, the
-    orientation that solves the transform ansatz at the seed parameters, and
-    images_deriv their exact derivative.
+    P itself is not kept: _factor assembles and factors it block by block.
+    `entries`, the (n, K, K) view of P, is assembled again on request, and
+    `inv` factors a copy of it.  `jacobi[j]` is u_j = P^{-1} diag(C) psi^(j),
+    j = 0, 1, 2, (K, N, n) like the seed rows; images = u0 are the seed
+    images y = P^{-1} c, the orientation that solves the transform ansatz at
+    the seed parameters, and images_deriv their exact derivative.
     """
 
     seeds: _Seeds
-    lu: np.ndarray  # (K, K, n)
-    swaps: tuple  # per pivot column k: (nodes, rows) exchanged with row k
     det: np.ndarray  # (n,)
     jacobi: np.ndarray  # (3, K, N, n)
     images_deriv: np.ndarray  # (K, N, n)
 
     @property
     def m(self) -> int:
-        return self.lu.shape[0]
+        return self.jacobi.shape[1]
 
     @property
     def images(self) -> np.ndarray:
@@ -200,14 +203,16 @@ class PMatrix:
     @cached_property
     def entries(self) -> np.ndarray:
         """P at every node, (n, K, K), assembled again on request."""
-        return _assemble(self.seeds).transpose(2, 0, 1)
+        return _assemble(self.seeds, _diagonal(self.seeds)).transpose(2, 0, 1)
 
     @cached_property
     def inv(self) -> np.ndarray:
-        """P^{-1} at every node, (n, K, K), solved from the factors on request."""
-        m, n = self.m, self.lu.shape[2]
+        """P^{-1} at every node, (n, K, K), from a factored copy of `entries`."""
+        lu = self.entries.transpose(1, 2, 0).copy()
+        m, n = lu.shape[1:]
+        swaps = _lu_factor(lu)[1]
         eye = np.broadcast_to(np.eye(m)[:, :, None], (m, m, n)).copy()
-        return _lu_solve(self.lu, self.swaps, eye).transpose(2, 0, 1)
+        return _lu_solve(lu, swaps, eye).transpose(2, 0, 1)
 
     def condition_summary(self) -> dict:
         norm = np.abs(self.entries).sum(axis=2).max(axis=1)
@@ -284,35 +289,55 @@ def _lu_solve(lu: np.ndarray, swaps: tuple, b: np.ndarray) -> np.ndarray:
 
 
 def _factor(seeds: _Seeds) -> PMatrix:
-    """Assemble P(r) at every node, factor it once in place (LU with partial
-    pivoting) and solve for the Jacobi vectors u_j, whose first is the seed
-    images y = P^{-1} c.
+    """Factor P(r) (LU with partial pivoting) and solve for the Jacobi vectors
+    u_j, whose first is the seed images y = P^{-1} c.
 
-    det P must be nonzero, finite and of constant sign across the grid;
-    otherwise SingularPotentialError names the first bad node.
+    P is assembled and factored in blocks of ceil(3 N n / K) nodes, so a
+    block is no larger than the (3, K, N, n) Jacobi stack; a block is
+    dropped once its slice of the stack is solved.
     """
-    lu = _assemble(seeds)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        det, swaps = _lu_factor(lu)
-    bad = ~np.isfinite(det) | (np.abs(det) < np.finfo(float).tiny)
-    bad |= np.sign(det) != np.sign(det[0])
-    if np.any(bad):
-        k = int(np.flatnonzero(bad)[0])
-        if not np.isfinite(det[k]):
-            raise SingularPotentialError(k, what="det P", how="is not finite")
-        raise SingularPotentialError(k, what="det P")
-
+    psi = seeds.psi
+    m, n = psi.shape[0], psi.shape[2]
+    diag = _diagonal(seeds)
+    det = np.empty(n)
     # each right-hand side diag(C) psi^(j) is solved in place in its slot
-    jacobi = np.stack((seeds.psi, seeds.dpsi, seeds.ddpsi))
+    jacobi = np.stack((psi, seeds.dpsi, seeds.ddpsi))
     # an overflow leaves a non-finite entry, which the returned fields reject
     with np.errstate(over="ignore", invalid="ignore"):
         jacobi *= seeds.coeff[:, None, None]
-        for rhs in jacobi:
-            _lu_solve(lu, swaps, rhs)
+    size = -(-3 * psi.shape[1] * n // m)
+    for start in range(0, n, size):
+        _factor_block(seeds, diag, slice(start, start + size), det, jacobi)
+    with np.errstate(over="ignore", invalid="ignore"):
         # y' = u1 - y (hG), G = sum_k y_k psi_k^T
         y = jacobi[0]
-        yd = jacobi[1] - _mat(y, seeds.h_field.values * _mat(y.swapaxes(0, 1), seeds.psi))
-    return PMatrix(seeds, lu, swaps, det, jacobi, yd)
+        yd = jacobi[1] - _mat(y, seeds.h_field.values * _mat(y.swapaxes(0, 1), psi))
+    return PMatrix(seeds, det, jacobi, yd)
+
+
+def _factor_block(seeds: _Seeds, diag: np.ndarray, nodes: slice, det: np.ndarray,
+                  jacobi: np.ndarray) -> None:
+    """Factor P on one block of nodes into det[nodes] and solve the block's
+    slice of the Jacobi stack in place.
+
+    det P must be nonzero, finite and of the sign of det[0]; otherwise
+    SingularPotentialError names the first bad node, by its global index.
+    """
+    p = _assemble(seeds, diag, nodes)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        det[nodes], swaps = _lu_factor(p)
+    block = det[nodes]
+    bad = ~np.isfinite(block) | (np.abs(block) < np.finfo(float).tiny)
+    bad |= np.sign(block) != np.sign(det[0])
+    if np.any(bad):
+        k = int(np.flatnonzero(bad)[0])
+        if not np.isfinite(block[k]):
+            raise SingularPotentialError(nodes.start + k, what="det P", how="is not finite")
+        raise SingularPotentialError(nodes.start + k, what="det P")
+    # an overflow leaves a non-finite entry, which the returned fields reject
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rhs in jacobi:
+            _lu_solve(p, swaps, rhs[..., nodes])
 
 
 def _potential(pm: PMatrix, v0: np.ndarray, dv0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,7 +454,7 @@ def make_seed_set(
 
 
 def p_matrix(sset: BargmannSeedSet) -> PMatrix:
-    """Assemble and factor P(r) of the seed set (see _factor)."""
+    """Factor P(r) of the seed set block by block (see _factor)."""
     return _factor(sset._seeds)
 
 

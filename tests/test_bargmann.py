@@ -35,6 +35,7 @@ from solvforge import (
     solve,
     transformed_seed_solutions,
 )
+from solvforge import bargmann
 from solvforge.bargmann import _kernels, _lu_factor, _lu_solve
 
 P_AT_1 = 1.4067151019617546
@@ -161,6 +162,32 @@ class TestPMatrix:
                 p_matrix(sset)
         assert exc.value.node == 64
 
+    @pytest.mark.parametrize("m, n, b, message", [
+        # P is factored in blocks of ceil(3 n / m) nodes: 61 nodes at m = 4,
+        # 31 at m = 8; P_00 = 1 - r is exactly 0 at r = 1 (node 64)
+        (4, 81, 1.25, "det P is not finite at node 64"),
+        (8, 81, 1.25, "det P is not finite at node 64"),
+        # r = 1 falls between nodes: det P = 1 - r changes sign at node 77
+        # (second block of 60), at node 154 (third block of 75) and at node 61,
+        # the first of the second block, whose sign is compared with node 0's
+        (5, 100, 1.3, "det P is singular or changes sign at node 77"),
+        (4, 81, 1.32, "det P is singular or changes sign at node 61"),
+        (8, 200, 1.3, "det P is singular or changes sign at node 154"),
+    ])
+    def test_first_bad_node_named_across_blocks(self, m, n, b, message):
+        # the exactly singular set above, with m - 1 seeds of C = 0
+        g = RadialGrid(0.0, b, n)
+        v0, h1 = const(g, -1.0), const(g, 1.0)
+        seeds = [BargmannSeed(-1.0, -1.0, Solution(-1.0, const(g, 1.0), CustomBC(1.0, 0.0, "left")))]
+        seeds += [BargmannSeed(-1.0 - k, 0.0, solve(v0, h1, -1.0 - k, CustomBC(1.0, 0.0, "left")))
+                  for k in range(1, m)]
+        sset = make_seed_set(seeds, v0, parse("1"), Direction.FROM_LEFT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularPotentialError, match=f"^{message}$") as exc:
+                p_matrix(sset)
+        assert exc.value.node == int(message.rsplit(" ", 1)[1])
+
     def test_three_bound_states_bits_pinned(self):
         # configs/three_bound_states.json: the P matrix keeps the exact bits of
         # the per-seed prefix assembly; its inverse and determinant those of
@@ -193,6 +220,16 @@ def _three_bound_states(grid, bc, direction):
     return make_seed_set(seeds, v0, parse("1"), direction)
 
 
+def _reference_m8_set(n):
+    """forgebench's bargmann_m8 reference inputs: 8 Jost seeds on [0, 16]."""
+    g = RadialGrid(0.0, 16.0, n)
+    v0, h1 = unit_problem(g)
+    kappa = 1.0 + 0.25 * np.arange(8) + 0.05
+    seeds = [BargmannSeed(-k * k, 0.6 * 2.0 * k / 8, solve(v0, h1, -k * k, JOST_AT_RIGHT))
+             for k in kappa]
+    return make_seed_set(seeds, v0, parse("1"), Direction.FROM_RIGHT)
+
+
 class TestInPlaceFactorization:
     def test_entries_assembled_only_on_request(self):
         pm = p_matrix(_three_bound_states(RadialGrid(0.0, 10.0, 10001), JOST_AT_RIGHT,
@@ -202,22 +239,51 @@ class TestInPlaceFactorization:
         assert digest == "285b8bfcdbb227d8d69bdb6165b3fc8cc0f9ebc68b627504daa2e15f0f36cd74"
 
     def test_peak_memory_of_the_reference_m8_set(self):
-        # forgebench's bargmann_m8 reference inputs: 8 Jost seeds on [0, 16]
         n, m = 32001, 8
-        g = RadialGrid(0.0, 16.0, n)
-        v0, h1 = unit_problem(g)
-        kappa = 1.0 + 0.25 * np.arange(m) + 0.05
-        seeds = [BargmannSeed(-k * k, 0.6 * 2.0 * k / m, solve(v0, h1, -k * k, JOST_AT_RIGHT))
-                 for k in kappa]
-        sset = make_seed_set(seeds, v0, parse("1"), Direction.FROM_RIGHT)
+        sset = _reference_m8_set(n)
         tracemalloc.start()
         try:
-            p_matrix(sset)
+            pm = p_matrix(sset)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # P itself is m*m*n doubles; the seed set's own rows are counted too
-        assert peak <= 3 * m * m * n * 8
+        # the seed rows (3 K n, built on first use) and the Jacobi stack
+        # (3 K n), one P block of ceil(3 n / K) nodes, the diagonal prefix and
+        # its integrand (K n each), and 1 MiB for the rest
+        block = -(-3 * n // m)
+        assert peak <= (6 * m * n + m * m * block + 2 * m * n) * 8 + 2 ** 20
+        # P is not kept, whole or factored
+        held = [a for a in (*vars(pm).values(), *pm.seeds) if isinstance(a, np.ndarray)]
+        assert held and all(a.size < m * m * n for a in held)
+
+    def test_blocked_factorization_bits_pinned(self):
+        # n = 4001 gives three blocks of 1501, 1501 and 999 nodes; the digests
+        # are those of P assembled and factored whole
+        pm = p_matrix(_reference_m8_set(4001))
+        digests = {
+            name: hashlib.sha256(np.ascontiguousarray(getattr(pm, name)).tobytes()).hexdigest()
+            for name in ("det", "jacobi", "images_deriv", "entries", "inv")
+        }
+        assert digests == {
+            "det": "8287955761ffcccab8919fa365f41219f8bced2a9cd712eb9bfe2216daa6269b",
+            "jacobi": "926fd2815b1c9f5577448c5180806239b6863592f63c94b435d2268ffdd2c181",
+            "images_deriv": "ab5e5f7c3fa017627ef411f029d17d3eedd23593d45cc8652ac4e6778b38c742",
+            "entries": "63b0e9c1a8b07103744cc3316ab085561f288e0e35ef8e24d3b683c29c12f76f",
+            "inv": "befbe0cdce6d19bc1b1b8111ffdb836f621ccf2aaf40d48de4d1286556fdda92",
+        }
+
+    def test_condition_summary_assembles_p_once(self, monkeypatch):
+        pm = p_matrix(_three_bound_states(RadialGrid(0.0, 10.0, 10001), JOST_AT_RIGHT,
+                                          Direction.FROM_RIGHT))
+        assemble, calls = bargmann._assemble, []
+
+        def counted(*args):
+            calls.append(args)
+            return assemble(*args)
+
+        monkeypatch.setattr(bargmann, "_assemble", counted)
+        pm.condition_summary()
+        assert len(calls) == 1
 
     def test_overflowed_determinant_named(self):
         # three_bound_states switched to the regular frame on [0, 100]: P stays
