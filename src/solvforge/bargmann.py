@@ -70,31 +70,36 @@ MIN_SPECTRAL_GAP = 1e-8
 
 
 class _Seeds(NamedTuple):
-    """K seed vectors over N channels as the transform reads them: psi, psi'
-    and psi'' (K, N, n), C_k and the first channel's gamma_k^2 (K,)."""
+    """K seed vectors over N channels: psi, psi' (K, N, n), C_k (K,), gamma_k^2
+    (K, N) and the (N, N, n) base potential, from which _ddpsi forms psi''."""
 
     direction: Direction
     h: AnalyticExpr
     h_field: SampledField
+    v0: np.ndarray
     coeff: np.ndarray
     gam: np.ndarray
     psi: np.ndarray
     dpsi: np.ndarray
-    ddpsi: np.ndarray
 
 
 def _seed_rows(direction, h, h_field, v0, gam, coeff, psi, dpsi) -> _Seeds:
     """_Seeds of (K, N, n) rows psi, psi' on the (N, N, n) base potential v0,
     with (K, N) seed spectra gam and (K,) constants coeff."""
-    gam = np.array(gam, dtype=float)
-    psi, dpsi = np.ascontiguousarray(psi), np.ascontiguousarray(dpsi)
-    # an overflow leaves a non-finite entry, which every later check rejects
-    with np.errstate(over="ignore", invalid="ignore"):
-        ddpsi = _mat(v0, psi.swapaxes(0, 1)).swapaxes(0, 1) - gam[:, :, None] * h_field.values * psi
-    rows = (np.array(coeff, dtype=float), gam[:, 0].copy(), psi, dpsi, ddpsi)
+    rows = (np.array(coeff, dtype=float), np.array(gam, dtype=float),
+            np.ascontiguousarray(psi), np.ascontiguousarray(dpsi))
     for arr in rows:
         arr.flags.writeable = False
-    return _Seeds(direction, h, h_field, *rows)
+    return _Seeds(direction, h, h_field, v0, *rows)
+
+
+def _ddpsi(seeds: _Seeds, k: int) -> np.ndarray:
+    """psi_k'' = V0 psi_k - gamma_k^2 h psi_k of seed k, (N, n), formed anew."""
+    psi = seeds.psi[k]
+    # an overflow leaves a non-finite entry, which every later check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (_mat(seeds.v0, psi[:, None])[:, 0]
+                - seeds.gam[k][:, None] * seeds.h_field.values * psi)
 
 
 def _mat(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -109,35 +114,35 @@ def _wronskian(f, df, g, dg) -> np.ndarray:
     return _mat(f, dg) - _mat(df, g)
 
 
-def _kernels(seeds: _Seeds, g, dg) -> tuple[np.ndarray, np.ndarray]:
-    """Channel-dot prefix kernels of every seed k against every column b of g:
-    the oriented prefix of h psi_k . g_b and its integrand (the exact
-    derivative), (K, B, n) each.
-
-    g and dg are (N, B, n), shared by every seed, or (K, N, B, n), one stack
-    per seed.  Each integrand is integrated as plain rows, one at a time.
-    """
-    psi, dpsi = seeds.psi, seeds.dpsi
+def _kernel(seeds: _Seeds, k: int, g, dg) -> tuple[np.ndarray, np.ndarray]:
+    """Channel-dot prefix kernel of seed k against every column b of g, dg
+    (N, B, n): the oriented prefix of h psi_k . g_b, integrated as a plain
+    row, and its integrand (the exact derivative), (B, n) each."""
+    psi, dpsi = seeds.psi[k:k + 1], seeds.dpsi[k:k + 1]
     hv, hd = seeds.h_field.values, seeds.h_field.derivs
-    shape = psi.shape[:2] + g.shape[-2:]
-    g, dg = np.broadcast_to(g, shape), np.broadcast_to(dg, shape)
-    values, derivs = np.empty((shape[0], *shape[2:])), np.empty((shape[0], *shape[2:]))
     # a non-finite integrand or prefix raises NonFiniteFieldError
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(shape[0]):
-            hpsi, dhpsi = hv * psi[k:k + 1], hd * psi[k:k + 1] + hv * dpsi[k:k + 1]
-            derivs[k] = _mat(hpsi, g[k])[0]
-            integrand_d = _mat(dhpsi, g[k])[0] + _mat(hpsi, dg[k])[0]
-            for b in range(shape[2]):
-                values[k, b] = signed_prefix((derivs[k, b], integrand_d[b]), seeds.direction,
-                                             seeds.h_field.grid)
+        hpsi = hv * psi
+        derivs = _mat(hpsi, g)[0]
+        integrand_d = _mat(hd * psi + hv * dpsi, g)[0] + _mat(hpsi, dg)[0]
+        values = np.stack([signed_prefix(pair, seeds.direction, seeds.h_field.grid)
+                           for pair in zip(derivs, integrand_d)])
     return values, derivs
 
 
 def _diagonal(seeds: _Seeds) -> np.ndarray:
     """The prefix integral of h psi_k . psi_k at every node, (K, n): the
     diagonal of P before C_k and delta_kk."""
-    return _kernels(seeds, seeds.psi[:, :, None], seeds.dpsi[:, :, None])[0][:, 0]
+    psi, dpsi = seeds.psi[:, :, None], seeds.dpsi[:, :, None]
+    return np.stack([_kernel(seeds, k, psi[k], dpsi[k])[0][0] for k in range(len(psi))])
+
+
+def _blocks(seeds: _Seeds) -> list[slice]:
+    """The node blocks in which P is assembled: ceil(3 N n / K) nodes each,
+    so a block is no larger than the (3, K, N, n) Jacobi stack."""
+    m, channels, n = seeds.psi.shape
+    size = -(-3 * channels * n // m)
+    return [slice(start, start + size) for start in range(0, n, size)]
 
 
 def _assemble(seeds: _Seeds, diag: np.ndarray, nodes: slice = slice(None)) -> np.ndarray:
@@ -151,7 +156,7 @@ def _assemble(seeds: _Seeds, diag: np.ndarray, nodes: slice = slice(None)) -> np
     negation) into +0.0, a bit of P.
     """
     psi, dpsi, diag = seeds.psi[..., nodes], seeds.dpsi[..., nodes], diag[:, nodes]
-    coeff, gam = seeds.coeff, seeds.gam
+    coeff, gam = seeds.coeff, seeds.gam[:, 0]
     m, n = psi.shape[0], psi.shape[2]
     denom = gam[:, None] - gam[None, :]
     np.fill_diagonal(denom, 1.0)
@@ -176,15 +181,15 @@ def _assemble(seeds: _Seeds, diag: np.ndarray, nodes: slice = slice(None)) -> np
 
 @dataclass(frozen=True)
 class PMatrix:
-    """Determinant of the node-wise P matrix, its Jacobi vectors and the seed
-    images.
+    """Determinant of the node-wise P matrix, its Jacobi vectors and seed images.
 
     P itself is not kept: _factor assembles and factors it block by block.
     `entries`, the (n, K, K) view of P, is assembled again on request, and
     `inv` factors a copy of it.  `jacobi[j]` is u_j = P^{-1} diag(C) psi^(j),
     j = 0, 1, 2, (K, N, n) like the seed rows; images = u0 are the seed
     images y = P^{-1} c, the orientation that solves the transform ansatz at
-    the seed parameters, and images_deriv their exact derivative.
+    the seed parameters, and images_deriv their exact derivative.  `jacobi`
+    and `images_deriv` are read-only, and the seed images share their rows.
     """
 
     seeds: _Seeds
@@ -208,22 +213,36 @@ class PMatrix:
     @cached_property
     def inv(self) -> np.ndarray:
         """P^{-1} at every node, (n, K, K), from a factored copy of `entries`."""
-        lu = self.entries.transpose(1, 2, 0).copy()
-        m, n = lu.shape[1:]
-        swaps = _lu_factor(lu)[1]
-        eye = np.broadcast_to(np.eye(m)[:, :, None], (m, m, n)).copy()
-        return _lu_solve(lu, swaps, eye).transpose(2, 0, 1)
+        return _inverse(self.entries.transpose(1, 2, 0).copy()).transpose(2, 0, 1)
 
     def condition_summary(self) -> dict:
-        norm = np.abs(self.entries).sum(axis=2).max(axis=1)
-        inv_norm = np.abs(self.inv).sum(axis=2).max(axis=1)
+        """det P's range and sign, and the largest row-sum condition number over
+        the nodes, from P assembled and inverted in _factor's blocks, not kept."""
+        seeds, diag = self.seeds, _diagonal(self.seeds)
+        cond = np.empty(self.det.shape)
+        for nodes in _blocks(seeds):
+            p = _assemble(seeds, diag, nodes)
+            # the norm of P is taken before _inverse factors p in place
+            cond[nodes] = _row_sum_norm(p) * _row_sum_norm(_inverse(p))
         return {
             "m": int(self.m),
             "det_min": float(self.det.min()),
             "det_max": float(self.det.max()),
             "det_sign": int(np.sign(self.det[0])),
-            "max_condition": float((norm * inv_norm).max()),
+            "max_condition": float(cond.max()),
         }
+
+
+def _row_sum_norm(a: np.ndarray) -> np.ndarray:
+    """max_i sum_j |a_ij| at every node of a (K, K, b) stack, summed in order."""
+    return sum(np.abs(col) for col in a.swapaxes(0, 1)).max(axis=0)
+
+
+def _inverse(p: np.ndarray) -> np.ndarray:
+    """P^{-1} of a (K, K, b) stack, factoring p in place."""
+    m, b = p.shape[1:]
+    swaps = _lu_factor(p)[1]
+    return _lu_solve(p, swaps, np.broadcast_to(np.eye(m)[:, :, None], (m, m, b)).copy())
 
 
 def _swap_rows(x: np.ndarray, k: int, rows: np.ndarray, nodes: np.ndarray) -> None:
@@ -292,26 +311,26 @@ def _factor(seeds: _Seeds) -> PMatrix:
     """Factor P(r) (LU with partial pivoting) and solve for the Jacobi vectors
     u_j, whose first is the seed images y = P^{-1} c.
 
-    P is assembled and factored in blocks of ceil(3 N n / K) nodes, so a
-    block is no larger than the (3, K, N, n) Jacobi stack; a block is
-    dropped once its slice of the stack is solved.
+    P is assembled and factored in the blocks of _blocks, each dropped once
+    its slice of the stack is solved; psi'' enters the stack seed by seed.
     """
-    psi = seeds.psi
-    m, n = psi.shape[0], psi.shape[2]
-    diag = _diagonal(seeds)
-    det = np.empty(n)
+    psi, diag = seeds.psi, _diagonal(seeds)
+    det = np.empty(psi.shape[2])
     # each right-hand side diag(C) psi^(j) is solved in place in its slot
-    jacobi = np.stack((psi, seeds.dpsi, seeds.ddpsi))
+    jacobi = np.empty((3, *psi.shape))
+    jacobi[0], jacobi[1] = psi, seeds.dpsi
+    for k in range(len(psi)):
+        jacobi[2, k] = _ddpsi(seeds, k)
     # an overflow leaves a non-finite entry, which the returned fields reject
     with np.errstate(over="ignore", invalid="ignore"):
         jacobi *= seeds.coeff[:, None, None]
-    size = -(-3 * psi.shape[1] * n // m)
-    for start in range(0, n, size):
-        _factor_block(seeds, diag, slice(start, start + size), det, jacobi)
+    for nodes in _blocks(seeds):
+        _factor_block(seeds, diag, nodes, det, jacobi)
     with np.errstate(over="ignore", invalid="ignore"):
         # y' = u1 - y (hG), G = sum_k y_k psi_k^T
         y = jacobi[0]
         yd = jacobi[1] - _mat(y, seeds.h_field.values * _mat(y.swapaxes(0, 1), psi))
+    jacobi.flags.writeable = yd.flags.writeable = False
     return PMatrix(seeds, det, jacobi, yd)
 
 
@@ -354,8 +373,11 @@ def _potential(pm: PMatrix, v0: np.ndarray, dv0: np.ndarray) -> tuple[np.ndarray
         hg = hv * g
         s10, s01 = _mat(u1, s.psi), _mat(u0, s.dpsi)
         gd = s10 + s01 - _mat(g, hg)
+        s02 = np.zeros(g.shape)
+        for k in range(len(s.psi)):
+            s02 += _mat(u0[:, k:k + 1], _ddpsi(s, k)[None])
         gdd = (
-            _mat(u2, s.psi) + 2.0 * _mat(u1, s.dpsi) + _mat(u0, s.ddpsi)
+            _mat(u2, s.psi) + 2.0 * _mat(u1, s.dpsi) + s02
             - _mat(s10, hg) - _mat(hg, s01) - hd * _mat(g, g) - _mat(gd, hg) - _mat(hg, gd)
         )
         v = v0 - 2.0 * hv * gd - hd * g
@@ -363,14 +385,21 @@ def _potential(pm: PMatrix, v0: np.ndarray, dv0: np.ndarray) -> tuple[np.ndarray
     return v, vd
 
 
-def _map(pm: PMatrix, g, dg, kv, kd) -> tuple[np.ndarray, np.ndarray]:
-    """phi = phi0 - sum_k y_k K_k^T and its derivative, (N, B, n), for the
-    base solution columns g, dg (N, B, n) and the kernels kv with their
-    derivatives kd (K, B, n)."""
-    yv, yd = pm.images.swapaxes(0, 1), pm.images_deriv.swapaxes(0, 1)
+def _map(pm: PMatrix, g, dg, kernel) -> tuple[np.ndarray, np.ndarray]:
+    """phi = phi0 - sum_k y_k K_k^T and its derivative, (N, B, n), for base
+    columns g, dg (N, B, n) and kernel(k), seed k's (B, n) rows K_k, K_k'; the
+    sums of y_k K_k, y_k' K_k, y_k K_k' run from zero, one seed's rows alive."""
+    sums = np.zeros((3, *g.shape))
     # an overflow leaves a non-finite entry, which the returned fields reject
     with np.errstate(over="ignore", invalid="ignore"):
-        return g - _mat(yv, kv), dg - _mat(yd, kv) - _mat(yv, kd)
+        for k in range(pm.m):
+            y, yd = pm.images[k][:, None], pm.images_deriv[k][:, None]
+            kv, kd = (row[None] for row in kernel(k))
+            sums[0] += _mat(y, kv)
+            sums[1] += _mat(yd, kv)
+            sums[2] += _mat(y, kd)
+            del kv, kd
+        return g - sums[0], dg - sums[1] - sums[2]
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +503,7 @@ def transformed_seed_solutions(sset: BargmannSeedSet, pm: PMatrix | None = None)
         pm = p_matrix(sset)
     yv, yd = pm.images[:, 0], pm.images_deriv[:, 0]
     return [
-        Solution(s.gamma_sq, SampledField(sset.grid, yv[k], yd[k]),
+        Solution(s.gamma_sq, SampledField._sharing(sset.grid, yv[k], yd[k]),
                  CustomBC(float(yv[k, 0]), float(yd[k, 0]), "left"))
         for k, s in enumerate(sset.seeds)
     ]
@@ -496,7 +525,7 @@ def bargmann_solution(sset: BargmannSeedSet, pm: PMatrix, phi0: Solution) -> Sol
     if phi0.grid != sset.grid:
         raise GridMismatchError("solution lives on a different grid")
     _check_direction(phi0.bc, sset.direction)
-    gaps = np.abs(pm.seeds.gam - phi0.gamma_sq)
+    gaps = np.abs(pm.seeds.gam[:, 0] - phi0.gamma_sq)
     if np.any(gaps < MIN_SPECTRAL_GAP):
         k = int(np.argmin(gaps))
         raise DuplicateSpectralError(
@@ -504,7 +533,7 @@ def bargmann_solution(sset: BargmannSeedSet, pm: PMatrix, phi0: Solution) -> Sol
             "use transformed_seed_solutions for the seed parameters"
         )
     g, dg = phi0.values[None, None], phi0.derivs[None, None]
-    out, outd = _map(pm, g, dg, *_kernels(pm.seeds, g, dg))
+    out, outd = _map(pm, g, dg, lambda k: _kernel(pm.seeds, k, g, dg))
     return Solution(
         phi0.gamma_sq,
         SampledField(sset.grid, out[0, 0], outd[0, 0]),

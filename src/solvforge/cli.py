@@ -341,10 +341,10 @@ def _read_samples(path: str, expected_header: list[str]) -> dict[str, np.ndarray
 
 # Bounds that keep one run's memory finite.  Peak RSS of `forge run`, each in
 # a fresh process with two eval_gammas (2-vCPU Xeon, Python 3.11, numpy 2.4):
-# bargmann with MAX_SEEDS = 8 Jost seeds, 59/110/272 MB at n = 10001/30001/100001,
-# ~2.5 kB per node; multichannel with MAX_CHANNELS channels, 191/347/504 MB at
+# bargmann with MAX_SEEDS = 8 Jost seeds, 46/69/149 MB at n = 10001/30001/100001,
+# ~1.1 kB per node; multichannel with MAX_CHANNELS channels, 191/347/504 MB at
 # n = 10001/20001/30001, ~15.6 kB per node.  At MAX_NODES that extrapolates to
-# ~0.5 and ~3.2 GB.  cmd_run holds every solution's columns until the write:
+# ~0.26 and ~3.2 GB.  cmd_run holds every solution's columns until the write:
 # each further eval_gammas entry with MAX_CHANNELS channels adds ~1 kB per node
 # (+10 MB at n = 10001 and +30 MB at n = 30001 per entry, measured from 2 to 16
 # entries), so MAX_EVAL_GAMMAS entries add ~14 kB per node, ~2.9 GB extrapolated

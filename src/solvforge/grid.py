@@ -70,14 +70,12 @@ class RadialGrid:
         return nodes
 
 
-def _as_readonly(x, n: int, what: str) -> np.ndarray:
+def _checked(x, n: int, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.ndim < 1 or arr.shape[0] != n:
         raise ValueError(f"{what} must have shape ({n}, ...), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise NonFiniteFieldError(what, int(np.nonzero(~np.isfinite(arr))[0][0]))
-    arr = arr.copy()
-    arr.flags.writeable = False
     return arr
 
 
@@ -96,8 +94,20 @@ class SampledField:
     derivs: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_readonly(self.values, self.grid.n, "values"))
-        object.__setattr__(self, "derivs", _as_readonly(self.derivs, self.grid.n, "derivs"))
+        for what in ("values", "derivs"):
+            arr = _checked(getattr(self, what), self.grid.n, what).copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, what, arr)
+
+    @classmethod
+    def _sharing(cls, grid: RadialGrid, values: np.ndarray, derivs: np.ndarray) -> "SampledField":
+        """A field over read-only rows the library owns, checked like any other
+        but not copied (the constructor copies every array it is given)."""
+        field = object.__new__(cls)
+        field.__dict__.update(grid=grid, values=_checked(values, grid.n, "values"),
+                              derivs=_checked(derivs, grid.n, "derivs"))
+        assert not (field.values.flags.writeable or field.derivs.flags.writeable)
+        return field
 
     def _coerce(self, other) -> "SampledField":
         if isinstance(other, Real):

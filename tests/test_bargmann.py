@@ -36,7 +36,7 @@ from solvforge import (
     transformed_seed_solutions,
 )
 from solvforge import bargmann
-from solvforge.bargmann import _kernels, _lu_factor, _lu_solve
+from solvforge.bargmann import _ddpsi, _kernel, _lu_factor, _lu_solve
 
 P_AT_1 = 1.4067151019617546
 
@@ -247,11 +247,12 @@ class TestInPlaceFactorization:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the seed rows (3 K n, built on first use) and the Jacobi stack
-        # (3 K n), one P block of ceil(3 n / K) nodes, the diagonal prefix and
-        # its integrand (K n each), and 1 MiB for the rest
+        # the seed rows psi, psi' (2 K n, built on first use; psi'' is not
+        # kept) and the Jacobi stack (3 K n), one P block of ceil(3 n / K)
+        # nodes, the diagonal prefix and its integrand (K n each), and 1 MiB
+        # for the rest
         block = -(-3 * n // m)
-        assert peak <= (6 * m * n + m * m * block + 2 * m * n) * 8 + 2 ** 20
+        assert peak <= (5 * m * n + m * m * block + 2 * m * n) * 8 + 2 ** 20
         # P is not kept, whole or factored
         held = [a for a in (*vars(pm).values(), *pm.seeds) if isinstance(a, np.ndarray)]
         assert held and all(a.size < m * m * n for a in held)
@@ -301,8 +302,112 @@ class TestInPlaceFactorization:
             p_matrix(_free_regular_set(g, [-1.0], [-10.0]))
 
 
+def _seed_kernels(sset, g, dg):
+    """_kernel of every seed k against g[k], dg[k], stacked (M, B, n)."""
+    pairs = [_kernel(sset._seeds, k, g[k], dg[k]) for k in range(len(sset.seeds))]
+    return np.stack([v for v, _ in pairs]), np.stack([d for _, d in pairs])
+
+
+def _traced_peak(f):
+    """f() and the peak of the memory traced while it runs, in bytes."""
+    tracemalloc.start()
+    try:
+        return f(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _field_digest(fields):
+    """SHA-256 of the fields' values, then derivs, in order."""
+    h = hashlib.sha256()
+    for f in fields:
+        h.update(f.values.tobytes())
+        h.update(f.derivs.tobytes())
+    return h.hexdigest()
+
+
+class TestOneCopyOfEachRow:
+    """Streamed seed sums, psi'' formed where it is read, seed images sharing
+    P's read-only rows, and P's condition block by block."""
+
+    N = 32001
+
+    @pytest.fixture(scope="class")
+    def m8(self):
+        sset = _reference_m8_set(self.N)
+        return sset, p_matrix(sset)
+
+    def test_streamed_outputs_bits_pinned(self):
+        # digests recorded before the seed sums were streamed; n = 4001 gives
+        # three blocks of P
+        sset = _reference_m8_set(4001)
+        pm = p_matrix(sset)
+        v0, h1 = unit_problem(sset.grid)
+        digests = {
+            "potential": _field_digest([bargmann_potential(sset, pm)]),
+            "seed_images": _field_digest([y.field for y in transformed_seed_solutions(sset, pm)]),
+            **{g: _field_digest([bargmann_solution(sset, pm, solve(v0, h1, g, JOST_AT_RIGHT)).field])
+               for g in (-0.9, -0.4)},
+        }
+        assert digests == {
+            "potential": "d6dd081cc72d3d2ca309d7e42e3f49ac4aa656d23e88c0f18052b9abc05304f6",
+            "seed_images": "447547d5f73496d898b992ce190abddb338700105c16f2cb4ffcbe1ec36816f5",
+            -0.9: "94ee9c652ec97e2577182a6c6762ced82d0fd2909eaa06605af937f5d6b9b988",
+            -0.4: "4f299bbff603b89c5a67cb594683f78d7ac1373a4b5979248f0fe6e4fbcc9352",
+        }
+        assert pm.condition_summary() == {
+            "m": 8,
+            "det_min": 0.40841128424561735,
+            "det_max": 1.0,
+            "det_sign": 1,
+            "max_condition": 4.318576301562117,
+        }
+
+    def test_solution_peak_memory(self, m8):
+        sset, pm = m8
+        n = self.N
+        v0, h1 = unit_problem(sset.grid)
+        phi0 = solve(v0, h1, -0.9, JOST_AT_RIGHT)
+        _, peak = _traced_peak(lambda: bargmann_solution(sset, pm, phi0))
+        # the outputs (the two returned rows and the map's three running
+        # sums, 5 n), one seed's kernel rows (its prefix, integrand and
+        # derivative integrand, 3 n) and 1 MiB for the rest; the (K, n)
+        # kernel stacks are never formed
+        assert peak <= 8 * n * 8 + 2 ** 20
+
+    def test_condition_summary_peak_memory(self, m8):
+        sset, pm = m8
+        n, m = self.N, pm.m
+        summary, peak = _traced_peak(pm.condition_summary)
+        # one P block of ceil(3 n / K) nodes and its identity block (K^2 b
+        # each), the diagonal prefix (K n), the norms (the condition row, n,
+        # and one block's row sums with the term being added, 2 K b) and
+        # 1 MiB for the rest
+        block = -(-3 * n // m)
+        assert peak <= (2 * m * m * block + m * n + n + 2 * m * block) * 8 + 2 ** 20
+        assert summary["m"] == m and summary["max_condition"] > 1.0
+        assert "entries" not in vars(pm) and "inv" not in vars(pm)
+
+    def test_seed_images_share_the_read_only_rows(self, m8):
+        sset, pm = m8
+        assert not pm.jacobi.flags.writeable and not pm.images_deriv.flags.writeable
+        for k, y in enumerate(transformed_seed_solutions(sset, pm)):
+            for row, rows in ((y.values, pm.images), (y.derivs, pm.images_deriv)):
+                assert not row.flags.writeable
+                assert np.shares_memory(row, rows[k])
+                with pytest.raises(ValueError):
+                    row[0] = 0.0
+        # an array a caller passes is copied, writable or not
+        values, derivs = pm.images[0, 0], pm.images_deriv[0, 0].copy()
+        field = SampledField(sset.grid, values, derivs)
+        assert not np.shares_memory(field.values, values)
+        assert not np.shares_memory(field.derivs, derivs)
+        derivs[0] = 0.0
+        assert field.derivs[0] == pm.images_deriv[0, 0, 0]
+
+
 class TestSeedRows:
-    """_kernels integrates seed by seed as plain rows; they must keep the bits
+    """_kernel integrates seed by seed as plain rows; they must keep the bits
     of the node-first (n, M) stack integrated in one signed_prefix call."""
 
     @staticmethod
@@ -339,7 +444,8 @@ class TestSeedRows:
              phi0.derivs[:, None]),
         ]
         for g_rows, dg_rows, g_stack, dg_stack in cases:
-            values, derivs = _kernels(sset._seeds, g_rows, dg_rows)
+            g_rows, dg_rows = (np.broadcast_to(x, (m, 1, 1, g.n)) for x in (g_rows, dg_rows))
+            values, derivs = _seed_kernels(sset, g_rows, dg_rows)
             ref = self._stacked_route(sset, g_stack, dg_stack)
             assert np.array_equal(values[:, 0], ref.values.T)
             assert np.array_equal(derivs[:, 0], ref.derivs.T)
@@ -483,7 +589,7 @@ class TestSeedSums:
         v0 = sset.v0.values
         gam = np.array([s.gamma_sq for s in sset.seeds])[:, None]
         ddphi = v0 * phi - gam * hv * phi
-        assert np.array_equal(sset._seeds.ddpsi[:, 0], ddphi)
+        assert np.array_equal(np.stack([_ddpsi(sset._seeds, k)[0] for k in range(m)]), ddphi)
         u0, u1, u2 = pm.jacobi[:, :, 0]
 
         assert np.array_equal(pm.images_deriv[:, 0], u1 - hv * _seed_sum(phi, u0) * u0)
@@ -503,8 +609,8 @@ class TestSeedSums:
 
         bc = sset.seeds[0].phi0.bc
         phi0 = solve(sset.v0, hf, -0.3, bc)
-        kv, kd = (k[:, 0] for k in _kernels(sset._seeds, phi0.values[None, None],
-                                           phi0.derivs[None, None]))
+        g0, dg0 = (np.broadcast_to(x, (m, 1, 1, n)) for x in (phi0.values, phi0.derivs))
+        kv, kd = (k[:, 0] for k in _seed_kernels(sset, g0, dg0))
         yv, yd = pm.images[:, 0], pm.images_deriv[:, 0]
         out = bargmann_solution(sset, pm, phi0)
         assert np.array_equal(out.values, phi0.values - _seed_sum(yv, kv))
