@@ -249,8 +249,8 @@ class TestInPlaceFactorization:
             tracemalloc.stop()
         # the seed rows psi, psi' (2 K n, built on first use; psi'' is not
         # kept) and the Jacobi stack (3 K n), one P block of ceil(3 n / K)
-        # nodes, the diagonal prefix and its integrand (K n each), and 1 MiB
-        # for the rest
+        # nodes, the diagonal prefix and its rows before they are stacked
+        # (K n each), and 1 MiB for the rest
         block = -(-3 * n // m)
         assert peak <= (5 * m * n + m * m * block + 2 * m * n) * 8 + 2 ** 20
         # P is not kept, whole or factored
