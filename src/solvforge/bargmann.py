@@ -494,7 +494,7 @@ def bargmann_potential(sset: BargmannSeedSet, pm: PMatrix | None = None) -> Samp
     if pm is None:
         pm = p_matrix(sset)
     v, vd = _potential(pm, sset.v0.values[None, None], sset.v0.derivs[None, None])
-    return SampledField(sset.grid, v[0, 0], vd[0, 0])
+    return SampledField._sharing(sset.grid, v[0, 0], vd[0, 0])
 
 
 def transformed_seed_solutions(sset: BargmannSeedSet, pm: PMatrix | None = None) -> list[Solution]:
@@ -536,6 +536,6 @@ def bargmann_solution(sset: BargmannSeedSet, pm: PMatrix, phi0: Solution) -> Sol
     out, outd = _map(pm, g, dg, lambda k: _kernel(pm.seeds, k, g, dg))
     return Solution(
         phi0.gamma_sq,
-        SampledField(sset.grid, out[0, 0], outd[0, 0]),
+        SampledField._sharing(sset.grid, out[0, 0], outd[0, 0]),
         CustomBC(float(out[0, 0, 0]), float(outd[0, 0, 0]), "left"),
     )

@@ -98,7 +98,7 @@ def log_det_potential(V0: SampledField, hf: SampledField, hdd, t, td, tdd) -> Sa
         v = V0.values + ratio * t - 2.0 * td
         ratio_d = hdd / hv - ratio * ratio
         vd = V0.derivs + ratio_d * t + ratio * td - 2.0 * tdd
-    return SampledField(V0.grid, v, vd)
+    return SampledField._sharing(V0.grid, v, vd)
 
 
 def darboux_potential(seed: Solution, h: AnalyticExpr, V0: SampledField) -> SampledField:
@@ -129,14 +129,14 @@ def darboux_potential(seed: Solution, h: AnalyticExpr, V0: SampledField) -> Samp
     t = yd / np.where(patch, 1.0, y)
     td = (V0.values - seed.gamma_sq * hv) - t * t
     tdd = (V0.derivs - seed.gamma_sq * hd) - 2.0 * t * td
-    log_part = log_det_potential(V0, SampledField(grid, hv, hd), hj[2], t, td, tdd)
+    log_part = log_det_potential(V0, SampledField._sharing(grid, hv, hd), hj[2], t, td, tdd)
 
     v = log_part.values + w
     vd = log_part.derivs + wd
     for idx in np.flatnonzero(patch):
         v[idx] = _extrapolate(v, idx)
         vd[idx] = _extrapolate(vd, idx)
-    return SampledField(grid, v, vd)
+    return SampledField._sharing(grid, v, vd)
 
 
 def darboux_solution(seed: Solution, h: SampledField, phi0: Solution) -> Solution:
@@ -177,7 +177,7 @@ def darboux_solution(seed: Solution, h: SampledField, phi0: Solution) -> Solutio
             outd[idx] = 0.0
     return Solution(
         phi0.gamma_sq,
-        SampledField(grid, out, outd),
+        SampledField._sharing(grid, out, outd),
         CustomBC(float(out[0]), float(outd[0]), "left"),
     )
 
@@ -266,15 +266,34 @@ def chain_second_step(
                 f"gamma^2 = {phi0.gamma_sq} coincides with the seed value"
             )
         p, pd = phi0.values, phi0.derivs
-        w = y * pd - yd * p
-        wd = hv * delta * y * p
-        gfac = y * w / P
-        gfac_d = (yd * w + y * wd - gfac * N) / P
-        out = p - C * gfac / delta
-        outd = pd - C * gfac_d / delta
+        # three rows, the two outputs and a scratch row t, with every value
+        # rounded as in
+        #   w = y pd - yd p,  wd = hv delta y p,  gfac = y w / P,
+        #   gfac_d = (yd w + y wd - gfac N) / P,
+        #   out = p - C gfac / delta,  outd = pd - C gfac_d / delta
+        w = np.multiply(y, pd)
+        t = np.multiply(yd, p)
+        w -= t
+        gfac = np.multiply(y, w)
+        gfac /= P
+        gfac_d = w
+        gfac_d *= yd
+        np.multiply(hv, delta, out=t)
+        t *= y
+        t *= p
+        t *= y
+        gfac_d += t
+        np.multiply(gfac, N, out=t)
+        gfac_d -= t
+        gfac_d /= P
+        out, outd = gfac, gfac_d
+        for row, base in ((out, p), (outd, pd)):
+            row *= C
+            row /= delta
+            np.subtract(base, row, out=row)
         return Solution(
             phi0.gamma_sq,
-            SampledField(grid, out, outd),
+            SampledField._sharing(grid, out, outd),
             CustomBC(float(out[0]), float(outd[0]), "left"),
         )
 

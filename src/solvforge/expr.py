@@ -730,4 +730,4 @@ def evaluate_on_grid(e: AnalyticExpr, g: RadialGrid) -> SampledField:
     """Sample an expression and its symbolic derivative on a grid."""
     values = e.evaluate(g.r)
     derivs = e.derivative().evaluate(g.r)
-    return SampledField(g, values, derivs)
+    return SampledField._sharing(g, values, derivs)

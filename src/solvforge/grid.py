@@ -101,12 +101,16 @@ class SampledField:
 
     @classmethod
     def _sharing(cls, grid: RadialGrid, values: np.ndarray, derivs: np.ndarray) -> "SampledField":
-        """A field over read-only rows the library owns, checked like any other
-        but not copied (the constructor copies every array it is given)."""
+        """A field over arrays the library has just made: checked like any
+        other, marked read-only and adopted without a copy.  A non-contiguous
+        view, such as a reversed row, is copied once instead.  The public
+        constructor copies every array a caller passes."""
         field = object.__new__(cls)
-        field.__dict__.update(grid=grid, values=_checked(values, grid.n, "values"),
-                              derivs=_checked(derivs, grid.n, "derivs"))
-        assert not (field.values.flags.writeable or field.derivs.flags.writeable)
+        field.__dict__["grid"] = grid
+        for what, arr in (("values", values), ("derivs", derivs)):
+            arr = np.ascontiguousarray(_checked(arr, grid.n, what))
+            arr.flags.writeable = False
+            field.__dict__[what] = arr
         return field
 
     def _coerce(self, other) -> "SampledField":
@@ -124,7 +128,7 @@ class SampledField:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return SampledField(self.grid, self.values + o.values, self.derivs + o.derivs)
+        return SampledField._sharing(self.grid, self.values + o.values, self.derivs + o.derivs)
 
     __radd__ = __add__
 
@@ -132,19 +136,19 @@ class SampledField:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return SampledField(self.grid, self.values - o.values, self.derivs - o.derivs)
+        return SampledField._sharing(self.grid, self.values - o.values, self.derivs - o.derivs)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return SampledField(self.grid, o.values - self.values, o.derivs - self.derivs)
+        return SampledField._sharing(self.grid, o.values - self.values, o.derivs - self.derivs)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return SampledField(
+        return SampledField._sharing(
             self.grid,
             self.values * o.values,
             self.derivs * o.values + self.values * o.derivs,
@@ -156,7 +160,7 @@ class SampledField:
         o = self._coerce(other)
         if o is NotImplemented:
             return o
-        return SampledField(
+        return SampledField._sharing(
             self.grid,
             self.values / o.values,
             (self.derivs * o.values - self.values * o.derivs) / (o.values * o.values),
@@ -169,19 +173,18 @@ class SampledField:
         return o / self
 
     def __neg__(self):
-        return SampledField(self.grid, -self.values, -self.derivs)
+        return SampledField._sharing(self.grid, -self.values, -self.derivs)
 
 
 def constant_field(grid: RadialGrid, value: float) -> SampledField:
-    v = np.full(grid.n, float(value))
-    return SampledField(grid, v, np.zeros(grid.n))
+    return SampledField._sharing(grid, np.full(grid.n, float(value)), np.zeros(grid.n))
 
 
 def field_from_arrays(grid: RadialGrid, values, derivs) -> SampledField:
     """Convenience constructor that broadcasts scalars."""
     values = np.broadcast_to(np.asarray(values, dtype=float), (grid.n,))
     derivs = np.broadcast_to(np.asarray(derivs, dtype=float), (grid.n,))
-    return SampledField(grid, values.copy(), derivs.copy())
+    return SampledField(grid, values, derivs)
 
 
 def wronskian(f: SampledField, g: SampledField) -> SampledField:
@@ -197,7 +200,7 @@ def wronskian(f: SampledField, g: SampledField) -> SampledField:
         raise GridMismatchError("wronskian operands live on different grids")
     w = f.values * g.derivs - f.derivs * g.values
     dw = np.gradient(w, f.grid.step)
-    return SampledField(f.grid, w, dw)
+    return SampledField._sharing(f.grid, w, dw)
 
 
 def _prefix_from_left(values: np.ndarray, derivs: np.ndarray, step: float) -> np.ndarray:
@@ -232,8 +235,8 @@ def integrate_prefix(f: SampledField, direction: Direction) -> SampledField:
     """
     vals = _signed_prefix(f.values, f.derivs, f.grid.step, direction)
     if direction is Direction.FROM_LEFT:
-        return SampledField(f.grid, vals, f.values)
-    return SampledField(f.grid, -vals, -f.values)
+        return SampledField._sharing(f.grid, vals, f.values)
+    return SampledField._sharing(f.grid, -vals, -f.values)
 
 
 def signed_prefix(f, direction: Direction, grid: RadialGrid | None = None):
@@ -250,8 +253,9 @@ def signed_prefix(f, direction: Direction, grid: RadialGrid | None = None):
     raises NonFiniteFieldError at its first bad node, as a field would.
     """
     if grid is None:
-        return SampledField(f.grid, _signed_prefix(f.values, f.derivs, f.grid.step, direction),
-                            f.values)
+        return SampledField._sharing(
+            f.grid, _signed_prefix(f.values, f.derivs, f.grid.step, direction), f.values
+        )
     values, derivs = f
     out = _signed_prefix(values, derivs, grid.step, direction)
     for what, row in (("values", values), ("derivs", derivs), ("prefix", out)):

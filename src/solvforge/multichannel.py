@@ -127,7 +127,7 @@ def _diagonal_stack(grid: RadialGrid, fields) -> SampledField:
     diag = np.arange(n)
     vals[:, diag, diag] = np.transpose([f.values for f in fields])
     ders[:, diag, diag] = np.transpose([f.derivs for f in fields])
-    return SampledField(grid, vals, ders)
+    return SampledField._sharing(grid, vals, ders)
 
 
 def _diagonal_matrix_solutions(
@@ -140,8 +140,8 @@ def _diagonal_matrix_solutions(
     entry (a, b) is delta_ab times the scalar solution of channel a."""
     grid = v0.grid
     return _diagonal_stack(grid, [
-        solve(SampledField(grid, v0.values[:, a, a], v0.derivs[:, a, a]), h_field, float(g),
-              bc_for(direction))
+        solve(SampledField._sharing(grid, v0.values[:, a, a], v0.derivs[:, a, a]), h_field,
+              float(g), bc_for(direction))
         for a, g in enumerate(gamma_sq)
     ])
 
@@ -187,7 +187,7 @@ def seed_vectors(cs: ChannelSystem) -> SampledField:
     # an overflow leaves a non-finite entry, which SampledField rejects
     with np.errstate(over="ignore", invalid="ignore"):
         values, derivs = (_mat(_entries(f), c)[:, 0].T for f in (cs.phi0.values, cs.phi0.derivs))
-    return SampledField(cs.grid, values, derivs)
+    return SampledField._sharing(cs.grid, values, derivs)
 
 
 def transform_denominator(cs: ChannelSystem) -> PMatrix:
@@ -202,7 +202,8 @@ def transform_denominator(cs: ChannelSystem) -> PMatrix:
 
 def transformed_seed_vectors(cs: ChannelSystem) -> SampledField:
     """psi_a = psi0_a / D, an (n, N) stack."""
-    return SampledField(cs.grid, cs.denominator.images[0].T, cs.denominator.images_deriv[0].T)
+    return SampledField._sharing(cs.grid, cs.denominator.images[0].T,
+                                 cs.denominator.images_deriv[0].T)
 
 
 def multichannel_potential(cs: ChannelSystem) -> SampledField:
@@ -213,7 +214,7 @@ def multichannel_potential(cs: ChannelSystem) -> SampledField:
     channel is exact.
     """
     v, vd = _potential(cs.denominator, _entries(cs.v0.values), _entries(cs.v0.derivs))
-    return SampledField(cs.grid, v.transpose(2, 0, 1), vd.transpose(2, 0, 1))
+    return SampledField._sharing(cs.grid, v.transpose(2, 0, 1), vd.transpose(2, 0, 1))
 
 
 def _check_uniform_shift(cs: ChannelSystem, gamma_sq_new: Sequence[float]) -> float:
@@ -275,5 +276,6 @@ def multichannel_solutions(
                 pairs = [(w[k] / (seeds.gam[k, 0] - gamma_sq_new[0]), kd)
                          for k, (_, kd) in enumerate(kernels)]
         values, derivs = _map(pm, g, dg, pairs.__getitem__)
-        out.append(SampledField(cs.grid, values.transpose(2, 0, 1), derivs.transpose(2, 0, 1)))
+        out.append(SampledField._sharing(cs.grid, values.transpose(2, 0, 1),
+                                         derivs.transpose(2, 0, 1)))
     return tuple(out)

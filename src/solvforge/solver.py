@@ -133,6 +133,22 @@ def _check_inputs(V: SampledField, h: SampledField) -> None:
     _check_weight(h)
 
 
+def _coefficients(V: SampledField, h: SampledField, gamma_sq: float, step: float):
+    """q = V - gamma^2 h at the nodes, and at the panel midpoints by cubic
+    Hermite interpolation from the carried derivatives, error O(step^4)."""
+    # an overflow here propagates through the kernel and is reported by solve
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = V.values - gamma_sq * h.values
+        qd = V.derivs - gamma_sq * h.derivs
+        # 0.5 (q[:-1] + q[1:]) + (step / 8) (qd[:-1] - qd[1:]), in place
+        qm = q[:-1] + q[1:]
+        qm *= 0.5
+        qd = qd[:-1] - qd[1:]
+        qd *= step / 8.0
+        qm += qd
+    return q, qm
+
+
 def solve(
     V: SampledField,
     h: SampledField,
@@ -147,12 +163,7 @@ def solve(
     _check_inputs(V, h)
     g = V.grid
     step = g.step
-    # an overflow here propagates through the kernel and is reported below
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = V.values - gamma_sq * h.values
-        qd = V.derivs - gamma_sq * h.derivs
-        # cubic Hermite midpoint, error O(step^4)
-        qm = 0.5 * (q[:-1] + q[1:]) + (step / 8.0) * (qd[:-1] - qd[1:])
+    q, qm = _coefficients(V, h, gamma_sq, step)
 
     if isinstance(bc, RegularAtLeft):
         value, slope, backward = 0.0, 1.0, False
@@ -176,19 +187,22 @@ def solve(
         raise TypeError(f"unsupported boundary condition {bc!r}")
 
     if backward:
-        phi_r, dphi_r = rk4_propagate(q[::-1], qm[::-1], step, value, -slope)
-        phi, dphi = phi_r[::-1], -dphi_r[::-1]
+        phi, dphi = rk4_propagate(q[::-1], qm[::-1], step, value, -slope)
+        phi, dphi = phi[::-1], -dphi[::-1]
     else:
         phi, dphi = rk4_propagate(q, qm, step, value, slope)
+    del q, qm  # only the solution is needed past the kernel
 
-    bad = ~(np.isfinite(phi) & np.isfinite(dphi) & (np.abs(phi) < BLOWUP_LIMIT))
+    # abs(phi) < BLOWUP_LIMIT is false at nan and +-inf as well
+    bad = ~(np.isfinite(dphi) & (np.abs(phi) < BLOWUP_LIMIT))
     if np.any(bad):
         node = int(np.flatnonzero(bad)[0])
         if backward:
             node = g.n - 1 - node
         raise BlowupError(node)
 
-    return Solution(float(gamma_sq), SampledField(g, phi, dphi), bc)
+    # the backward phi is a reversed view, which the field copies once
+    return Solution(float(gamma_sq), SampledField._sharing(g, phi, dphi), bc)
 
 
 def seed_from_expression(

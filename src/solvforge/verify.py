@@ -53,11 +53,21 @@ class ResidualReport:
         }
 
 
-def _second_derivative(values: np.ndarray, step: float) -> np.ndarray:
-    """Fourth-order central second derivative on interior nodes [2, n-3]."""
-    return (
-        -values[:-4] + 16.0 * values[1:-3] - 30.0 * values[2:-2] + 16.0 * values[3:-1] - values[4:]
-    ) / (12.0 * step * step)
+def _second_derivative(values: np.ndarray, step: float, scratch=None) -> np.ndarray:
+    """Fourth-order central second derivative on interior nodes [2, n-3],
+    (-f[i-2] + 16 f[i-1] - 30 f[i] + 16 f[i+1] - f[i+2]) / (12 step^2) summed
+    left to right, formed in one new array; scratch (the shape of the
+    result, made if not given) holds each term."""
+    out = np.negative(values[:-4])
+    term = np.multiply(16.0, values[1:-3], out=scratch)
+    out += term
+    np.multiply(30.0, values[2:-2], out=term)
+    out -= term
+    np.multiply(16.0, values[3:-1], out=term)
+    out += term
+    out -= values[4:]
+    out /= 12.0 * step * step
+    return out
 
 
 def _report(defect: np.ndarray, scale: float, tol: float, offset: int) -> ResidualReport:
@@ -89,10 +99,18 @@ def residual(
     vals = phi.field.values
     # _report places a defect that overflowed at its first non-finite node
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        d2 = _second_derivative(vals, g.step)
-        q = V.values - phi.gamma_sq * h.values
-        defect = -d2 + q[2:-2] * vals[2:-2]
-        scale = float(np.max(np.abs(phi.gamma_sq * h.values * vals))) + 1.0
+        # two rows: `row` holds gamma^2 h phi for the scale, then the
+        # stencil's terms, then (V - gamma^2 h) phi, with every value rounded
+        # as in defect = -phi'' + (V - gamma^2 h) phi
+        row = np.multiply(phi.gamma_sq, h.values)
+        row *= vals
+        scale = float(np.max(np.abs(row, out=row))) + 1.0
+        defect = _second_derivative(vals, g.step, row[:-4])
+        np.negative(defect, out=defect)
+        q = np.multiply(phi.gamma_sq, h.values[2:-2], out=row[2:-2])
+        np.subtract(V.values[2:-2], q, out=q)
+        q *= vals[2:-2]
+        defect += q
     return _report(defect, scale, tol, offset=2)
 
 
