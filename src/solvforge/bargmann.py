@@ -39,7 +39,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import verify
-from .darboux import _check_direction
 from .errors import (
     DuplicateSpectralError,
     GridMismatchError,
@@ -48,7 +47,7 @@ from .errors import (
 )
 from .expr import AnalyticExpr, evaluate_on_grid
 from .grid import Direction, SampledField, signed_prefix
-from .solver import SEED_RESIDUAL_TOL, CustomBC, Solution
+from .solver import MIN_SPECTRAL_GAP, SEED_RESIDUAL_TOL, CustomBC, Solution, _check_direction
 
 __all__ = [
     "BargmannSeed",
@@ -64,9 +63,6 @@ __all__ = [
 
 #: default cap on the number of seeds
 MAX_SEEDS = 8
-
-#: spectral parameters closer than this are treated as duplicates
-MIN_SPECTRAL_GAP = 1e-8
 
 
 class _Seeds(NamedTuple):
@@ -183,13 +179,13 @@ def _assemble(seeds: _Seeds, diag: np.ndarray, nodes: slice = slice(None)) -> np
 class PMatrix:
     """Determinant of the node-wise P matrix, its Jacobi vectors and seed images.
 
-    P itself is not kept: _factor assembles and factors it block by block.
-    `entries`, the (n, K, K) view of P, is assembled again on request, and
-    `inv` factors a copy of it.  `jacobi[j]` is u_j = P^{-1} diag(C) psi^(j),
-    j = 0, 1, 2, (K, N, n) like the seed rows; images = u0 are the seed
-    images y = P^{-1} c, the orientation that solves the transform ansatz at
-    the seed parameters, and images_deriv their exact derivative.  `jacobi`
-    and `images_deriv` are read-only, and the seed images share their rows.
+    P itself is not kept: _factor assembles and factors it block by block,
+    and condition_summary does so again.  Every array has the nodes on its
+    last axis.  `jacobi[j]` is u_j = P^{-1} diag(C) psi^(j), j = 0, 1, 2,
+    (K, N, n) like the seed rows; images = u0 are the seed images
+    y = P^{-1} c, the orientation that solves the transform ansatz at the
+    seed parameters, and images_deriv their exact derivative.  `jacobi` and
+    `images_deriv` are read-only, and the seed images share their rows.
     """
 
     seeds: _Seeds
@@ -204,16 +200,6 @@ class PMatrix:
     @property
     def images(self) -> np.ndarray:
         return self.jacobi[0]
-
-    @cached_property
-    def entries(self) -> np.ndarray:
-        """P at every node, (n, K, K), assembled again on request."""
-        return _assemble(self.seeds, _diagonal(self.seeds)).transpose(2, 0, 1)
-
-    @cached_property
-    def inv(self) -> np.ndarray:
-        """P^{-1} at every node, (n, K, K), from a factored copy of `entries`."""
-        return _inverse(self.entries.transpose(1, 2, 0).copy()).transpose(2, 0, 1)
 
     def condition_summary(self) -> dict:
         """det P's range and sign, and the largest row-sum condition number over
@@ -487,20 +473,17 @@ def p_matrix(sset: BargmannSeedSet) -> PMatrix:
     return _factor(sset._seeds)
 
 
-def bargmann_potential(sset: BargmannSeedSet, pm: PMatrix | None = None) -> SampledField:
+def bargmann_potential(sset: BargmannSeedSet, pm: PMatrix) -> SampledField:
     """Transformed potential V = V0 - 2 h G' - h' G with G = sum_mu y_mu phi_mu,
     which is V0 - 2 sqrt(h) d/dr[(1/sqrt(h)) (ln det P)'], with its exact
-    derivative channel."""
-    if pm is None:
-        pm = p_matrix(sset)
+    derivative channel; pm is p_matrix(sset)."""
     v, vd = _potential(pm, sset.v0.values[None, None], sset.v0.derivs[None, None])
     return SampledField._sharing(sset.grid, v[0, 0], vd[0, 0])
 
 
-def transformed_seed_solutions(sset: BargmannSeedSet, pm: PMatrix | None = None) -> list[Solution]:
-    """Bound-type solutions y_mu of the transformed potential at gamma_mu^2."""
-    if pm is None:
-        pm = p_matrix(sset)
+def transformed_seed_solutions(sset: BargmannSeedSet, pm: PMatrix) -> list[Solution]:
+    """Bound-type solutions y_mu of the transformed potential at gamma_mu^2;
+    pm is p_matrix(sset)."""
     yv, yd = pm.images[:, 0], pm.images_deriv[:, 0]
     return [
         Solution(s.gamma_sq, SampledField._sharing(sset.grid, yv[k], yd[k]),

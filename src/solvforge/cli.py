@@ -65,6 +65,7 @@ from .multichannel import (
 )
 from .solver import (
     JOST_AT_RIGHT,
+    MIN_SPECTRAL_GAP,
     REGULAR_AT_LEFT,
     BoundaryCondition,
     CustomBC,
@@ -620,23 +621,23 @@ def _multichannel(cfg: _Config) -> _Job:
 
     def evaluate(gnew):
         gap = 0.0
-        if abs(gnew[0] - cs.gamma_prime_sq[0]) >= 1e-8:
+        if abs(gnew[0] - cs.gamma_prime_sq[0]) >= MIN_SPECTRAL_GAP:
             phi, phi_w = multichannel_solutions(cs, gnew, ("integral", "wronskian"))
             gap = _sup(phi.values - phi_w.values)
         else:
             phi = multichannel_solution(cs, gnew)
         rep = verify_mod.matrix_residual(vmat, cs.h_field, phi, gnew, tol=cfg.tol)
         # row-major entries, each as a (phi, dphi) column pair
-        pairs = np.stack([phi.values, phi.derivs], axis=-1).reshape(cfg.grid.n, -1)
-        return rep, [*pairs.T], {"forms_max_diff": gap}
+        pairs = np.stack([phi.values, phi.derivs], axis=2).reshape(-1, cfg.grid.n)
+        return rep, [*pairs], {"forms_max_diff": gap}
 
     v = vmat.values
     return _Job(
-        (["r"] + [f"V_{ab}" for ab in labels], [*v.reshape(cfg.grid.n, -1).T]),
+        (["r"] + [f"V_{ab}" for ab in labels], [*v.reshape(-1, cfg.grid.n)]),
         ["r"] + [f"{name}_{ab}" for ab in labels for name in ("phi", "dphi")],
         [({"kind": "transformed_seed_vectors"}, seed_rep, None)],
         evaluate,
-        {"symmetry_defect": _sup(v - v.transpose(0, 2, 1))},
+        {"symmetry_defect": _sup(v - v.swapaxes(0, 1))},
     )
 
 

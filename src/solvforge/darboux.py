@@ -35,7 +35,6 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import (
-    DirectionMismatchError,
     DomainError,
     DuplicateSpectralError,
     GridMismatchError,
@@ -44,7 +43,7 @@ from .errors import (
 )
 from .expr import AnalyticExpr, evaluate_on_grid
 from .grid import Direction, SampledField, signed_prefix
-from .solver import CustomBC, JostAtRight, RegularAtLeft, Solution
+from .solver import MIN_SPECTRAL_GAP, CustomBC, Solution, _check_direction
 
 __all__ = [
     "DarbouxTransform",
@@ -206,15 +205,6 @@ def darboux_transform(seed: Solution, h: AnalyticExpr, V0: SampledField) -> Darb
     )
 
 
-def _check_direction(bc, direction: Direction) -> None:
-    if isinstance(bc, RegularAtLeft) and direction is not Direction.FROM_LEFT:
-        raise DirectionMismatchError("regular solutions pair with the from-left integral")
-    if isinstance(bc, JostAtRight) and direction is not Direction.FROM_RIGHT:
-        raise DirectionMismatchError(
-            "decaying (Jost-type) solutions pair with the from-right integral"
-        )
-
-
 def chain_second_step(
     first: DarbouxTransform,
     C: float,
@@ -260,7 +250,7 @@ def chain_second_step(
         if phi0.grid != grid:
             raise GridMismatchError("solution lives on a different grid")
         delta = gamma_prime_sq - phi0.gamma_sq
-        if abs(delta) < 1e-8:
+        if abs(delta) < MIN_SPECTRAL_GAP:
             raise DuplicateSpectralError(
                 "chain map is singular at the seed spectral parameter; "
                 f"gamma^2 = {phi0.gamma_sq} coincides with the seed value"

@@ -643,7 +643,10 @@ class AnalyticExpr:
         out = np.asarray(out, dtype=float)
         if arr.ndim == 0:
             return float(np.broadcast_to(out, ()).item() if out.ndim else out)
-        return np.broadcast_to(out, arr.shape).copy()
+        # a fresh row is returned as it is; a scalar row, or r itself, is copied
+        if out.shape != arr.shape or np.may_share_memory(out, arr):
+            return np.broadcast_to(out, arr.shape).copy()
+        return out
 
     def derivative(self) -> "AnalyticExpr":
         return AnalyticExpr(self.root.diff())

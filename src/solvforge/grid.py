@@ -2,10 +2,11 @@
 
 A SampledField carries function values together with first derivatives at
 every node, so that Wronskians and the algebraic transform formulas never
-have to differentiate numerically.  Quadrature is composite Simpson with a
-derivative-corrected trapezoid closing the odd panel, which keeps prefix
-integrals exact for polynomials up to degree three and fourth-order
-accurate for smooth integrands.
+have to differentiate numerically.  A stack of fields holds the nodes on its
+last axis, (..., n), the layout of the transforms' arrays.  Quadrature is
+composite Simpson with a derivative-corrected trapezoid closing the odd
+panel, which keeps prefix integrals exact for polynomials up to degree three
+and fourth-order accurate for smooth integrands.
 
 All types are immutable after construction; operations are pure and safe
 to use from concurrent contexts.
@@ -72,10 +73,11 @@ class RadialGrid:
 
 def _checked(x, n: int, what: str) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
-    if arr.ndim < 1 or arr.shape[0] != n:
-        raise ValueError(f"{what} must have shape ({n}, ...), got {arr.shape}")
+    if arr.ndim < 1 or arr.shape[-1] != n:
+        raise ValueError(f"{what} must have shape (..., {n}), got {arr.shape}")
     if not np.isfinite(arr).all():
-        raise NonFiniteFieldError(what, int(np.nonzero(~np.isfinite(arr))[0][0]))
+        finite = np.isfinite(arr).reshape(-1, n).all(axis=0)
+        raise NonFiniteFieldError(what, int(np.flatnonzero(~finite)[0]))
     return arr
 
 
@@ -85,8 +87,9 @@ class SampledField:
 
     Arithmetic operators combine both channels (product and quotient rules),
     so composite fields keep exact derivative information.  A stack of fields
-    is node-first, (n, k) for k columns or (n, N, N) for a matrix field, and
-    combines only with stacks of the same shape.
+    has the nodes on its last axis, (k, n) for k rows or (N, N, n) for a
+    matrix field, each entry one contiguous row, and combines only with
+    stacks of the same shape.
     """
 
     grid: RadialGrid
@@ -199,24 +202,24 @@ def wronskian(f: SampledField, g: SampledField) -> SampledField:
     if f.grid != g.grid:
         raise GridMismatchError("wronskian operands live on different grids")
     w = f.values * g.derivs - f.derivs * g.values
-    dw = np.gradient(w, f.grid.step)
+    dw = np.gradient(w, f.grid.step, axis=-1)
     return SampledField._sharing(f.grid, w, dw)
 
 
 def _prefix_from_left(values: np.ndarray, derivs: np.ndarray, step: float) -> np.ndarray:
-    """Cumulative integral from the first node, O(step^4), down axis 0.
+    """Cumulative integral from the first node, O(step^4), along the last axis.
 
     Even node offsets use composite Simpson over panel pairs; an odd final
     panel is closed with the derivative-corrected trapezoid
     h (f0 + f1)/2 + h^2 (f0' - f1')/12, which is likewise exact for cubics.
     """
     out = np.zeros(values.shape)
-    pair = (step / 3.0) * (values[0:-2:2] + 4.0 * values[1:-1:2] + values[2::2])
-    out[2::2] = np.cumsum(pair, axis=0)
-    panel = (step / 2.0) * (values[0:-1:2] + values[1::2]) + (step * step / 12.0) * (
-        derivs[0:-1:2] - derivs[1::2]
+    pair = (step / 3.0) * (values[..., 0:-2:2] + 4.0 * values[..., 1:-1:2] + values[..., 2::2])
+    out[..., 2::2] = np.cumsum(pair, axis=-1)
+    panel = (step / 2.0) * (values[..., 0:-1:2] + values[..., 1::2]) + (step * step / 12.0) * (
+        derivs[..., 0:-1:2] - derivs[..., 1::2]
     )
-    out[1::2] = out[0:-1:2] + panel
+    out[..., 1::2] = out[..., 0:-1:2] + panel
     return out
 
 
@@ -224,7 +227,7 @@ def _signed_prefix(values, derivs, step: float, direction: Direction) -> np.ndar
     """Oriented prefix values (see signed_prefix) of plain rows; negation is exact."""
     if direction is Direction.FROM_LEFT:
         return _prefix_from_left(values, derivs, step)
-    return -_prefix_from_left(values[::-1], -derivs[::-1], step)[::-1]
+    return -_prefix_from_left(values[..., ::-1], -derivs[..., ::-1], step)[..., ::-1]
 
 
 def integrate_prefix(f: SampledField, direction: Direction) -> SampledField:

@@ -14,9 +14,10 @@ prefix-integral form of one kernel, at evaluation spectra that are a rigid
 shift of the seed spectra.  At N = 1 this is the single-channel transform
 with C = c^2.
 
-Public fields are node-first: matrix fields (V0, V, phi) are (n, N, N)
-SampledFields with entry (a, b) at [:, a, b], seed vectors (n, N).  Each
-function converts to and from bargmann.py's entry-major rows.
+Fields have the nodes on their last axis, the layout of bargmann.py's
+rows: matrix fields (V0, V, phi) are (N, N, n) SampledFields with entry
+(a, b) at [a, b], seed vectors (N, n).  The core's arrays are passed in and
+adopted as they are.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
 )
 from .expr import AnalyticExpr, evaluate_on_grid, parse
 from .grid import Direction, RadialGrid, SampledField
-from .solver import SEED_RESIDUAL_TOL, bc_for, solve
+from .solver import MIN_SPECTRAL_GAP, SEED_RESIDUAL_TOL, bc_for, solve
 
 __all__ = [
     "ChannelSystem",
@@ -64,7 +65,7 @@ __all__ = [
 class ChannelSystem:
     """N-channel data: base potential matrix, weight, the base as a map from
     a spectrum (one gamma^2 per channel) to its solution matrix, the seed
-    spectra and the spectral coefficients c.  v0 and base(...) are (n, N, N)
+    spectra and the spectral coefficients c.  v0 and base(...) are (N, N, n)
     stacks.  A diagonal base maps through the channel-wise solve
     (diagonal_base_system); a transformed system is the next base through
     partial(multichannel_solution, cs)."""
@@ -87,10 +88,10 @@ class ChannelSystem:
         for what, f in (("base potential", self.v0), ("base solutions", self.phi0)):
             if f.grid != self.grid:
                 raise GridMismatchError(f"{what} on a different grid")
-            if f.values.shape != (self.grid.n, n, n):
-                raise ValueError(f"{what} must be an (n, N, N) stack, got {f.values.shape}")
+            if f.values.shape != (n, n, self.grid.n):
+                raise ValueError(f"{what} must be an (N, N, n) stack, got {f.values.shape}")
         v = self.v0.values
-        defect = float(np.max(np.abs(v - v.transpose(0, 2, 1))))
+        defect = float(np.max(np.abs(v - v.swapaxes(0, 1))))
         scale = float(np.max(np.abs(v))) + 1.0
         if defect > 1e-12 * scale:
             raise ValueError(f"base potential matrix is not symmetric (defect {defect:.3e})")
@@ -121,12 +122,12 @@ class ChannelSystem:
 
 
 def _diagonal_stack(grid: RadialGrid, fields) -> SampledField:
-    """(n, N, N) stack with the N given fields on its diagonal, zero elsewhere."""
+    """(N, N, n) stack with the N given fields on its diagonal, zero elsewhere."""
     n = len(fields)
-    vals, ders = np.zeros((grid.n, n, n)), np.zeros((grid.n, n, n))
+    vals, ders = np.zeros((n, n, grid.n)), np.zeros((n, n, grid.n))
     diag = np.arange(n)
-    vals[:, diag, diag] = np.transpose([f.values for f in fields])
-    ders[:, diag, diag] = np.transpose([f.derivs for f in fields])
+    vals[diag, diag] = [f.values for f in fields]
+    ders[diag, diag] = [f.derivs for f in fields]
     return SampledField._sharing(grid, vals, ders)
 
 
@@ -140,7 +141,7 @@ def _diagonal_matrix_solutions(
     entry (a, b) is delta_ab times the scalar solution of channel a."""
     grid = v0.grid
     return _diagonal_stack(grid, [
-        solve(SampledField._sharing(grid, v0.values[:, a, a], v0.derivs[:, a, a]), h_field,
+        solve(SampledField._sharing(grid, v0.values[a, a], v0.derivs[a, a]), h_field,
               float(g), bc_for(direction))
         for a, g in enumerate(gamma_sq)
     ])
@@ -175,18 +176,13 @@ def diagonal_base_system(
     )
 
 
-def _entries(stack: np.ndarray) -> np.ndarray:
-    """Entry-major (N, N, n) view of a node-first (n, N, N) stack."""
-    return stack.transpose(1, 2, 0)
-
-
 def seed_vectors(cs: ChannelSystem) -> SampledField:
-    """psi0_a = sum_b phi0_ab c_b as an (n, N) stack, with exact derivative
+    """psi0_a = sum_b phi0_ab c_b as an (N, n) stack, with exact derivative
     channels."""
     c = np.broadcast_to(np.asarray(cs.c)[:, None, None], (cs.n_channels, 1, cs.grid.n))
     # an overflow leaves a non-finite entry, which SampledField rejects
     with np.errstate(over="ignore", invalid="ignore"):
-        values, derivs = (_mat(_entries(f), c)[:, 0].T for f in (cs.phi0.values, cs.phi0.derivs))
+        values, derivs = (_mat(f, c)[:, 0] for f in (cs.phi0.values, cs.phi0.derivs))
     return SampledField._sharing(cs.grid, values, derivs)
 
 
@@ -196,25 +192,24 @@ def transform_denominator(cs: ChannelSystem) -> PMatrix:
     nondecreasing from the anchor from-left; a non-positive D (possible only
     from-right) raises SingularPotentialError."""
     psi0 = cs.psi0
-    return _factor(_seed_rows(cs.direction, cs.h, cs.h_field, _entries(cs.v0.values),
-                              [cs.gamma_prime_sq], [1.0], psi0.values.T[None], psi0.derivs.T[None]))
+    return _factor(_seed_rows(cs.direction, cs.h, cs.h_field, cs.v0.values,
+                              [cs.gamma_prime_sq], [1.0], psi0.values[None], psi0.derivs[None]))
 
 
 def transformed_seed_vectors(cs: ChannelSystem) -> SampledField:
-    """psi_a = psi0_a / D, an (n, N) stack."""
-    return SampledField._sharing(cs.grid, cs.denominator.images[0].T,
-                                 cs.denominator.images_deriv[0].T)
+    """psi_a = psi0_a / D, an (N, n) stack."""
+    return SampledField._sharing(cs.grid, cs.denominator.images[0],
+                                 cs.denominator.images_deriv[0])
 
 
 def multichannel_potential(cs: ChannelSystem) -> SampledField:
-    """Entry-wise transformed potential matrix, (n, N, N).
+    """Entry-wise transformed potential matrix, (N, N, n).
 
     V_ab = V0_ab - 2 h (psi_a psi0_b)' - h' psi_a psi0_b, with the product
     derivatives and the second derivatives in closed form, so the derivative
     channel is exact.
     """
-    v, vd = _potential(cs.denominator, _entries(cs.v0.values), _entries(cs.v0.derivs))
-    return SampledField._sharing(cs.grid, v.transpose(2, 0, 1), vd.transpose(2, 0, 1))
+    return SampledField._sharing(cs.grid, *_potential(cs.denominator, cs.v0.values, cs.v0.derivs))
 
 
 def _check_uniform_shift(cs: ChannelSystem, gamma_sq_new: Sequence[float]) -> float:
@@ -237,7 +232,7 @@ def multichannel_solution(
     *,
     form: str = "integral",
 ) -> SampledField:
-    """Transformed solution matrix at a rigidly shifted spectrum, (n, N, N).
+    """Transformed solution matrix at a rigidly shifted spectrum, (N, N, n).
 
     phi_ab = phi0_ab(new) - psi_a T_b, where phi0(new) is cs.base at the new
     spectrum and T_b is the channel-dot kernel of psi0 against column b;
@@ -257,14 +252,14 @@ def multichannel_solutions(
     for form in forms:
         if form not in ("integral", "wronskian"):
             raise ValueError("form must be 'integral' or 'wronskian'")
-        if form == "wronskian" and abs(delta) < 1e-8:
+        if form == "wronskian" and abs(delta) < MIN_SPECTRAL_GAP:
             raise DuplicateSpectralError(
                 "the Wronskian form is singular at zero shift; use the integral form"
             )
     phi0 = cs.base(gamma_sq_new)
     pm = cs.denominator
     seeds = pm.seeds
-    g, dg = _entries(phi0.values), _entries(phi0.derivs)
+    g, dg = phi0.values, phi0.derivs
     kernels = [_kernel(seeds, k, g, dg) for k in range(pm.m)]
     out = []
     for form in forms:
@@ -275,7 +270,5 @@ def multichannel_solutions(
                 w = _wronskian(seeds.psi, seeds.dpsi, g, dg)
                 pairs = [(w[k] / (seeds.gam[k, 0] - gamma_sq_new[0]), kd)
                          for k, (_, kd) in enumerate(kernels)]
-        values, derivs = _map(pm, g, dg, pairs.__getitem__)
-        out.append(SampledField._sharing(cs.grid, values.transpose(2, 0, 1),
-                                         derivs.transpose(2, 0, 1)))
+        out.append(SampledField._sharing(cs.grid, *_map(pm, g, dg, pairs.__getitem__)))
     return tuple(out)

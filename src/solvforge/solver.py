@@ -23,6 +23,7 @@ from ._kernels import rk4_propagate
 from .errors import (
     BlowupError,
     BoundaryError,
+    DirectionMismatchError,
     GridMismatchError,
     InvalidWeightError,
     SeedRejectedError,
@@ -39,6 +40,7 @@ __all__ = [
     "JOST_AT_RIGHT",
     "Solution",
     "bc_for",
+    "MIN_SPECTRAL_GAP",
     "solve",
     "seed_from_expression",
     "default_grid",
@@ -89,9 +91,24 @@ REGULAR_AT_LEFT = RegularAtLeft()
 JOST_AT_RIGHT = JostAtRight()
 
 
+#: spectral parameters closer than this are treated as coinciding: two seeds
+#: of a set, or a map's evaluation gamma^2 and its seed gamma^2
+MIN_SPECTRAL_GAP = 1e-8
+
+
 def bc_for(direction: Direction) -> BoundaryCondition:
     """Boundary class that pairs with `direction`: regular from-left, Jost-type from-right."""
     return REGULAR_AT_LEFT if direction is Direction.FROM_LEFT else JOST_AT_RIGHT
+
+
+def _check_direction(bc, direction: Direction) -> None:
+    """DirectionMismatchError unless a regular or Jost-type bc pairs with `direction`."""
+    if isinstance(bc, RegularAtLeft) and direction is not Direction.FROM_LEFT:
+        raise DirectionMismatchError("regular solutions pair with the from-left integral")
+    if isinstance(bc, JostAtRight) and direction is not Direction.FROM_RIGHT:
+        raise DirectionMismatchError(
+            "decaying (Jost-type) solutions pair with the from-right integral"
+        )
 
 
 @dataclass(frozen=True)
@@ -196,10 +213,8 @@ def solve(
     # abs(phi) < BLOWUP_LIMIT is false at nan and +-inf as well
     bad = ~(np.isfinite(dphi) & (np.abs(phi) < BLOWUP_LIMIT))
     if np.any(bad):
-        node = int(np.flatnonzero(bad)[0])
-        if backward:
-            node = g.n - 1 - node
-        raise BlowupError(node)
+        # the first bad node in the order of integration
+        raise BlowupError(int(np.flatnonzero(bad)[-1 if backward else 0]))
 
     # the backward phi is a reversed view, which the field copies once
     return Solution(float(gamma_sq), SampledField._sharing(g, phi, dphi), bc)

@@ -54,18 +54,18 @@ class ResidualReport:
 
 
 def _second_derivative(values: np.ndarray, step: float, scratch=None) -> np.ndarray:
-    """Fourth-order central second derivative on interior nodes [2, n-3],
-    (-f[i-2] + 16 f[i-1] - 30 f[i] + 16 f[i+1] - f[i+2]) / (12 step^2) summed
-    left to right, formed in one new array; scratch (the shape of the
-    result, made if not given) holds each term."""
-    out = np.negative(values[:-4])
-    term = np.multiply(16.0, values[1:-3], out=scratch)
+    """Fourth-order central second derivative on interior nodes [2, n-3] of
+    the last axis, (-f[i-2] + 16 f[i-1] - 30 f[i] + 16 f[i+1] - f[i+2]) /
+    (12 step^2) summed left to right, formed in one new array; scratch (the
+    shape of the result, made if not given) holds each term."""
+    out = np.negative(values[..., :-4])
+    term = np.multiply(16.0, values[..., 1:-3], out=scratch)
     out += term
-    np.multiply(30.0, values[2:-2], out=term)
+    np.multiply(30.0, values[..., 2:-2], out=term)
     out -= term
-    np.multiply(16.0, values[3:-1], out=term)
+    np.multiply(16.0, values[..., 3:-1], out=term)
     out += term
-    out -= values[4:]
+    out -= values[..., 4:]
     out /= 12.0 * step * step
     return out
 
@@ -125,14 +125,14 @@ def matrix_residual(
 
     For each entry (alpha, beta):
         -phi''_ab + sum_b' V_ab' phi_b'b - gamma_a^2 h phi_ab
-    Vm is an (n, N, N) stack; Phi is (n, N, K) (columns are solution
-    vectors), or (n, N) for a single solution vector.  The report aggregates
+    Vm is an (N, N, n) stack; Phi is (N, K, n) (columns are solution
+    vectors), or (N, n) for a single solution vector.  The report aggregates
     the worst entry; argmax_node is its grid node.
     """
-    phi = Phi.values if Phi.values.ndim == 3 else Phi.values[:, :, None]
+    phi = Phi.values if Phi.values.ndim == 3 else Phi.values[:, None]
     v = Vm.values
-    n_rows = phi.shape[1]
-    if v.shape[1:] != (n_rows, n_rows):
+    n_rows = phi.shape[0]
+    if v.shape[:2] != (n_rows, n_rows):
         raise ValueError("potential matrix shape does not match the solution rows")
     if len(gamma_sq) != n_rows:
         raise ValueError("need one gamma^2 per channel row")
@@ -146,12 +146,12 @@ def matrix_residual(
     # _report places a defect that overflowed at its first non-finite node
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the coupling sum runs over k in order, from zero
-        coupling = sum(v[:, :, k, None] * phi[:, None, k, :] for k in range(n_rows))
-        rhs = gam[:, None] * h.values[:, None, None] * phi
-        defect = -_second_derivative(phi, g.step) + coupling[2:-2] - rhs[2:-2]
+        coupling = sum(v[:, k, None] * phi[None, k] for k in range(n_rows))
+        rhs = gam[:, None, None] * h.values * phi
+        defect = -_second_derivative(phi, g.step) + coupling[..., 2:-2] - rhs[..., 2:-2]
         scale = float(np.max(np.abs(rhs))) + 1.0
     # the worst entry at each node
-    per_node = np.abs(defect).reshape(defect.shape[0], -1).max(axis=1)
+    per_node = np.abs(defect).reshape(-1, defect.shape[-1]).max(axis=0)
     return _report(per_node, scale, tol, offset=2)
 
 

@@ -6,14 +6,22 @@ t = tr(P^{-1} P'), t' = tr(P^{-1} P'') - tr((P^{-1} P')^2) and
 t'' = tr(P^{-1} P''') - 3 tr(P^{-1} P' P^{-1} P'') + 2 tr((P^{-1} P')^3) with
 batched M x M products, and the seed-image derivative through
 (P^{-1})' = -P^{-1} P' P^{-1}.  Tests hold the package's dot-product form to
-it.  Only P, P^{-1} and the seed set are taken from the package.
+it.  Only P, P^{-1} (p_and_inverse) and the seed set are taken from the
+package.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from solvforge.bargmann import _assemble, _diagonal, _inverse
 from solvforge.darboux import log_det_potential
+
+
+def p_and_inverse(pm):
+    """P and P^{-1} at every node, (K, K, n), assembled and factored as the package does."""
+    p = _assemble(pm.seeds, _diagonal(pm.seeds))
+    return p, _inverse(p.copy())
 
 
 def _trace(a: np.ndarray) -> np.ndarray:
@@ -62,9 +70,10 @@ def dense_potential(sset, pm):
         + hv[:, None, None] * pp_dd
     )
 
-    x = pm.inv @ p1
-    y = pm.inv @ p2
-    z = pm.inv @ p3
+    inv = np.moveaxis(p_and_inverse(pm)[1], -1, 0)  # (n, M, M)
+    x = inv @ p1
+    y = inv @ p2
+    z = inv @ p3
     t = _trace(x)
     td = _trace(y) - _trace(x @ x)
     tdd = _trace(z) - 3.0 * _trace(x @ y) + 2.0 * _trace(x @ x @ x)
@@ -75,9 +84,10 @@ def dense_potential(sset, pm):
 def dense_seed_images(sset, pm):
     """y = P^{-1} c with c_nu = C_nu phi_nu, plus the analytic derivative."""
     phi, dphi, coeff, gam = _stacked(sset)
-    inv_d = -pm.inv @ entries_deriv(sset) @ pm.inv
+    inv = np.moveaxis(p_and_inverse(pm)[1], -1, 0)  # (n, M, M)
+    inv_d = -inv @ entries_deriv(sset) @ inv
     cphi = coeff[None, :] * phi
     cdphi = coeff[None, :] * dphi
-    yv = np.einsum("nmv,nv->nm", pm.inv, cphi)
-    yd = np.einsum("nmv,nv->nm", pm.inv, cdphi) + np.einsum("nmv,nv->nm", inv_d, cphi)
+    yv = np.einsum("nmv,nv->nm", inv, cphi)
+    yd = np.einsum("nmv,nv->nm", inv, cdphi) + np.einsum("nmv,nv->nm", inv_d, cphi)
     return yv, yd

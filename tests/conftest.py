@@ -22,8 +22,9 @@ def unit_problem(grid: RadialGrid):
 
 
 def fd4(values: np.ndarray, step: float) -> np.ndarray:
-    """Fourth-order central first derivative on interior nodes [2, n-3]."""
-    return (values[:-4] - 8.0 * values[1:-3] + 8.0 * values[3:-1] - values[4:]) / (12.0 * step)
+    """Fourth-order central first derivative on interior nodes [2, n-3] of the last axis."""
+    return (values[..., :-4] - 8.0 * values[..., 1:-3] + 8.0 * values[..., 3:-1]
+            - values[..., 4:]) / (12.0 * step)
 
 
 @pytest.fixture

@@ -4,8 +4,10 @@ This is the multichannel step as the package computed it before it became
 the K = 1 case of the generalized Bargmann transform: the scalar D(r) is
 assembled on its own, the seed vectors are divided by it, and the potential
 and solution maps are built from node-first (n, N) outer products.  Apart
-from this docstring and absolute imports, the code is unchanged.  Tests hold
-the package's transform to it.
+from this docstring, absolute imports and the container of its node-first
+stacks, the code is unchanged: the package's SampledField holds the nodes on
+the last axis, so those stacks are a Stack here.  Tests hold the package's
+transform to it.
 
 The coupled system reads, for an N x N solution matrix phi (columns are
 solution vectors, rows are channels),
@@ -44,6 +46,7 @@ from solvforge.grid import Direction, RadialGrid, SampledField, signed_prefix
 from solvforge.solver import SEED_RESIDUAL_TOL, bc_for, solve
 
 __all__ = [
+    "Stack",
     "ChannelSystem",
     "diagonal_base_system",
     "seed_vectors",
@@ -53,6 +56,25 @@ __all__ = [
     "multichannel_solution",
     "multichannel_solutions",
 ]
+
+
+@dataclass(frozen=True)
+class Stack:
+    """A node-first (n, ...) stack of values and derivatives on a grid.  It is
+    copied and checked as the package field `field`, which holds the same
+    entries with the nodes on the last axis; values and derivs are read-only
+    node-first views of that field's arrays."""
+
+    grid: RadialGrid
+    values: np.ndarray
+    derivs: np.ndarray
+
+    def __post_init__(self):
+        field = SampledField(self.grid, np.moveaxis(self.values, 0, -1),
+                             np.moveaxis(self.derivs, 0, -1))
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "values", np.moveaxis(field.values, -1, 0))
+        object.__setattr__(self, "derivs", np.moveaxis(field.derivs, -1, 0))
 
 
 @dataclass(frozen=True)
@@ -67,8 +89,8 @@ class ChannelSystem:
     grid: RadialGrid
     h: AnalyticExpr
     h_field: SampledField
-    v0: SampledField
-    base: Callable[[Sequence[float]], SampledField]
+    v0: Stack
+    base: Callable[[Sequence[float]], Stack]
     gamma_prime_sq: tuple[float, ...]
     c: tuple[float, ...]
     direction: Direction = Direction.FROM_LEFT
@@ -90,18 +112,18 @@ class ChannelSystem:
         if defect > 1e-12 * scale:
             raise ValueError(f"base potential matrix is not symmetric (defect {defect:.3e})")
         report = verify.matrix_residual(
-            self.v0, self.h_field, self.phi0, self.gamma_prime_sq, tol=SEED_RESIDUAL_TOL
+            self.v0.field, self.h_field, self.phi0.field, self.gamma_prime_sq, tol=SEED_RESIDUAL_TOL
         )
         if not report.passed:
             raise SeedRejectedError(report, text="base solution matrix")
 
     @cached_property
-    def phi0(self) -> SampledField:
+    def phi0(self) -> Stack:
         """The base solution matrix at the seed spectra, computed once per system."""
         return self.base(self.gamma_prime_sq)
 
     @cached_property
-    def psi0(self) -> SampledField:
+    def psi0(self) -> Stack:
         """The seed vectors (see seed_vectors), computed once per system."""
         return seed_vectors(self)
 
@@ -123,14 +145,14 @@ def _channel_sum(terms: np.ndarray) -> np.ndarray:
     return sum(np.moveaxis(terms, -1, 0), np.zeros(terms.shape[:-1]))
 
 
-def _diagonal_stack(grid: RadialGrid, fields) -> SampledField:
+def _diagonal_stack(grid: RadialGrid, fields) -> Stack:
     """(n, N, N) stack with the N given fields on its diagonal, zero elsewhere."""
     n = len(fields)
     vals, ders = np.zeros((grid.n, n, n)), np.zeros((grid.n, n, n))
     diag = np.arange(n)
     vals[:, diag, diag] = np.transpose([f.values for f in fields])
     ders[:, diag, diag] = np.transpose([f.derivs for f in fields])
-    return SampledField(grid, vals, ders)
+    return Stack(grid, vals, ders)
 
 
 def _diagonal_matrix_solutions(
@@ -138,7 +160,7 @@ def _diagonal_matrix_solutions(
     h_field: SampledField,
     direction: Direction,
     gamma_sq: Sequence[float],
-) -> SampledField:
+) -> Stack:
     """Base solution matrix for a diagonal potential: channels decouple, so
     entry (a, b) is delta_ab times the scalar solution of channel a."""
     grid = v0.grid
@@ -178,14 +200,14 @@ def diagonal_base_system(
     )
 
 
-def seed_vectors(cs: ChannelSystem) -> SampledField:
+def seed_vectors(cs: ChannelSystem) -> Stack:
     """psi0_a = sum_b phi0_ab c_b as an (n, N) stack, with exact derivative
     channels."""
     c = np.asarray(cs.c)
     # an overflow leaves a non-finite entry, which SampledField rejects
     with np.errstate(over="ignore", invalid="ignore"):
         values, derivs = _channel_sum(cs.phi0.values * c), _channel_sum(cs.phi0.derivs * c)
-    return SampledField(cs.grid, values, derivs)
+    return Stack(cs.grid, values, derivs)
 
 
 def transform_denominator(cs: ChannelSystem) -> SampledField:
@@ -208,14 +230,14 @@ def transform_denominator(cs: ChannelSystem) -> SampledField:
     return d
 
 
-def transformed_seed_vectors(cs: ChannelSystem) -> SampledField:
+def transformed_seed_vectors(cs: ChannelSystem) -> Stack:
     """psi_a = psi0_a / D, an (n, N) stack."""
     p = cs.psi0
     d, dd = cs.denominator.values[:, None], cs.denominator.derivs[:, None]
     # an overflow leaves a non-finite entry, which SampledField rejects
     with np.errstate(over="ignore", invalid="ignore"):
         values, derivs = p.values / d, (p.derivs * d - p.values * dd) / (d * d)
-    return SampledField(cs.grid, values, derivs)
+    return Stack(cs.grid, values, derivs)
 
 
 def _psi_arrays(cs: ChannelSystem):
@@ -248,7 +270,7 @@ def _outer(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x[:, :, None] * y[:, None, :]
 
 
-def multichannel_potential(cs: ChannelSystem) -> SampledField:
+def multichannel_potential(cs: ChannelSystem) -> Stack:
     """Entry-wise transformed potential matrix (exactly symmetric), (n, N, N).
 
     V_ab = V0_ab - 2 h (psi_a psi0_b)' - h' psi_a psi0_b, with the product
@@ -266,7 +288,7 @@ def multichannel_potential(cs: ChannelSystem) -> SampledField:
         gdd = _outer(pdd, p0) + _outer(2.0 * pd, p0d) + _outer(p, p0dd)
         v = cs.v0.values - 2.0 * hv * gd - hd * g
         vd = cs.v0.derivs - 3.0 * hd * gd - 2.0 * hv * gdd - hdd * g
-    return SampledField(cs.grid, v, vd)
+    return Stack(cs.grid, v, vd)
 
 
 def _check_uniform_shift(cs: ChannelSystem, gamma_sq_new: Sequence[float]) -> float:
@@ -288,7 +310,7 @@ def multichannel_solution(
     gamma_sq_new: Sequence[float],
     *,
     form: str = "integral",
-) -> SampledField:
+) -> Stack:
     """Transformed solution matrix at a rigidly shifted spectrum, (n, N, N).
 
     phi_ab = phi0_ab(new) - psi_a T_b, where phi0(new) is cs.base at the new
@@ -303,7 +325,7 @@ def multichannel_solutions(
     cs: ChannelSystem,
     gamma_sq_new: Sequence[float],
     forms: Sequence[str],
-) -> tuple[SampledField, ...]:
+) -> tuple[Stack, ...]:
     """multichannel_solution in each of `forms`, from one evaluation of the base."""
     delta = _check_uniform_shift(cs, gamma_sq_new)
     for form in forms:
@@ -328,11 +350,13 @@ def multichannel_solutions(
     for form in forms:
         if form == "integral":
             integrand_d = _channel_sum(hpd[:, None, :] * fv + hp[:, None, :] * fd)
-            tvals = signed_prefix(SampledField(cs.grid, tders, integrand_d), cs.direction).values
+            tvals = np.moveaxis(
+                signed_prefix(Stack(cs.grid, tders, integrand_d).field, cs.direction).values, -1, 0
+            )
         else:
             p, pd = psi0.values[:, None, :], psi0.derivs[:, None, :]
             tvals = _channel_sum(p * fd - pd * fv) / (-delta)
         vals = phi0.values - _outer(psi.values, tvals)
         ders = phi0.derivs - _outer(psi.derivs, tvals) - _outer(psi.values, tders)
-        out.append(SampledField(cs.grid, vals, ders))
+        out.append(Stack(cs.grid, vals, ders))
     return tuple(out)

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from bargmann_dense_reference import dense_potential, dense_seed_images
+from bargmann_dense_reference import dense_potential, dense_seed_images, p_and_inverse
 from conftest import const, fd4, field_of, unit_problem
 from solvforge import (
     JOST_AT_RIGHT,
@@ -55,18 +55,19 @@ class TestPMatrix:
     def test_identity_when_uncoupled(self, grid01):
         sset = _free_regular_set(grid01, [-1.0, -4.0], [0.0, 0.0])
         pm = p_matrix(sset)
-        assert np.array_equal(pm.entries, np.broadcast_to(np.eye(2), pm.entries.shape))
+        p = p_and_inverse(pm)[0]
+        assert np.array_equal(p, np.broadcast_to(np.eye(2)[:, :, None], p.shape))
         assert np.all(pm.det == 1.0)
 
     def test_anchored_at_identity(self, grid01):
         sset = _free_regular_set(grid01, [-1.0, -4.0], [0.7, 0.4])
         pm = p_matrix(sset)
-        assert np.max(np.abs(pm.entries[0] - np.eye(2))) == 0.0
+        assert np.max(np.abs(p_and_inverse(pm)[0][..., 0] - np.eye(2))) == 0.0
 
     def test_single_seed_diagonal_value(self, grid01):
         sset = _free_regular_set(grid01, [-1.0], [1.0])
         pm = p_matrix(sset)
-        assert pm.entries[-1, 0, 0] == pytest.approx(P_AT_1, abs=1e-10)
+        assert p_and_inverse(pm)[0][0, 0, -1] == pytest.approx(P_AT_1, abs=1e-10)
 
     def test_offdiagonal_wronskian_vs_quadrature(self):
         # 20 random oscillatory spectral pairs against the quadrature oracle
@@ -90,20 +91,20 @@ class TestPMatrix:
         # compare with the Wronskian form used by p_matrix
         g = RadialGrid(0.0, 6.0, 6001)
         sset = _free_regular_set(g, [0.8, 2.1], [0.45, 0.75], h_text="1 + 0.4*exp(-r)")
-        pm = p_matrix(sset)
+        p = p_and_inverse(p_matrix(sset))[0]
         h = sset.h_field
         for mu, nu in ((0, 1), (1, 0)):
             smu, snu = sset.seeds[mu], sset.seeds[nu]
             quad = smu.coeff * signed_prefix(
                 h * smu.phi0.field * snu.phi0.field, Direction.FROM_LEFT
             ).values
-            assert np.max(np.abs(pm.entries[:, mu, nu] - quad)) < 1e-7
+            assert np.max(np.abs(p[mu, nu] - quad)) < 1e-7
 
     def test_inverse_consistency(self):
         g = RadialGrid(0.0, 6.0, 3001)
         sset = _free_regular_set(g, [-0.25, -0.64, -1.44], [0.4, 0.6, 0.8])
-        pm = p_matrix(sset)
-        dev = np.max(np.abs(pm.inv @ pm.entries - np.eye(3)))
+        p, inv = p_and_inverse(p_matrix(sset))
+        dev = np.max(np.abs(np.einsum("ijn,jkn->ikn", inv, p) - np.eye(3)[:, :, None]))
         assert dev < 1e-10
 
     def test_duplicate_spectra_rejected(self, grid01):
@@ -191,7 +192,8 @@ class TestPMatrix:
     def test_three_bound_states_bits_pinned(self):
         # configs/three_bound_states.json: the P matrix keeps the exact bits of
         # the per-seed prefix assembly; its inverse and determinant those of
-        # the node-batched LU factorization
+        # the node-batched LU factorization.  P and P^-1 are hashed with their
+        # nodes moved back to the first axis
         g = RadialGrid(0.0, 10.0, 10001)
         v0, h1 = unit_problem(g)
         seeds = [
@@ -199,9 +201,10 @@ class TestPMatrix:
             for gsq, c in [(-1.0, 0.6), (-2.25, 0.8), (-4.0, 0.5)]
         ]
         pm = p_matrix(make_seed_set(seeds, v0, parse("1"), Direction.FROM_RIGHT))
+        arrays = dict(zip(("entries", "inv"), p_and_inverse(pm)), det=pm.det)
         digests = {
-            name: hashlib.sha256(np.ascontiguousarray(getattr(pm, name)).tobytes()).hexdigest()
-            for name in ("entries", "inv", "det")
+            name: hashlib.sha256(np.ascontiguousarray(np.moveaxis(a, -1, 0)).tobytes()).hexdigest()
+            for name, a in arrays.items()
         }
         assert digests == {
             "entries": "285b8bfcdbb227d8d69bdb6165b3fc8cc0f9ebc68b627504daa2e15f0f36cd74",
@@ -231,13 +234,6 @@ def _reference_m8_set(n):
 
 
 class TestInPlaceFactorization:
-    def test_entries_assembled_only_on_request(self):
-        pm = p_matrix(_three_bound_states(RadialGrid(0.0, 10.0, 10001), JOST_AT_RIGHT,
-                                          Direction.FROM_RIGHT))
-        assert "entries" not in vars(pm)
-        digest = hashlib.sha256(np.ascontiguousarray(pm.entries).tobytes()).hexdigest()
-        assert digest == "285b8bfcdbb227d8d69bdb6165b3fc8cc0f9ebc68b627504daa2e15f0f36cd74"
-
     def test_peak_memory_of_the_reference_m8_set(self):
         n, m = 32001, 8
         sset = _reference_m8_set(n)
@@ -259,11 +255,15 @@ class TestInPlaceFactorization:
 
     def test_blocked_factorization_bits_pinned(self):
         # n = 4001 gives three blocks of 1501, 1501 and 999 nodes; the digests
-        # are those of P assembled and factored whole
+        # are those of P assembled and factored whole.  P and P^-1 are hashed
+        # with their nodes moved back to the first axis
         pm = p_matrix(_reference_m8_set(4001))
+        arrays = {name: getattr(pm, name) for name in ("det", "jacobi", "images_deriv")}
+        arrays.update((name, np.moveaxis(a, -1, 0))
+                      for name, a in zip(("entries", "inv"), p_and_inverse(pm)))
         digests = {
-            name: hashlib.sha256(np.ascontiguousarray(getattr(pm, name)).tobytes()).hexdigest()
-            for name in ("det", "jacobi", "images_deriv", "entries", "inv")
+            name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+            for name, a in arrays.items()
         }
         assert digests == {
             "det": "8287955761ffcccab8919fa365f41219f8bced2a9cd712eb9bfe2216daa6269b",
@@ -386,7 +386,8 @@ class TestOneCopyOfEachRow:
         block = -(-3 * n // m)
         assert peak <= (2 * m * m * block + m * n + n + 2 * m * block) * 8 + 2 ** 20
         assert summary["m"] == m and summary["max_condition"] > 1.0
-        assert "entries" not in vars(pm) and "inv" not in vars(pm)
+        # nothing is kept beyond the factored fields
+        assert set(vars(pm)) == {"seeds", "det", "jacobi", "images_deriv"}
 
     def test_seed_images_share_the_read_only_rows(self, m8):
         sset, pm = m8
@@ -408,15 +409,15 @@ class TestOneCopyOfEachRow:
 
 class TestSeedRows:
     """_kernel integrates seed by seed as plain rows; they must keep the bits
-    of the node-first (n, M) stack integrated in one signed_prefix call."""
+    of the (M, n) stack integrated in one signed_prefix call."""
 
     @staticmethod
     def _stacked_route(sset, g, dg):
-        phi = np.stack([s.phi0.values for s in sset.seeds], axis=1)
-        dphi = np.stack([s.phi0.derivs for s in sset.seeds], axis=1)
-        hv = sset.h_field.values[:, None]
+        phi = np.stack([s.phi0.values for s in sset.seeds])
+        dphi = np.stack([s.phi0.derivs for s in sset.seeds])
+        hv = sset.h_field.values
         hphi = hv * phi
-        hphi_d = sset.h_field.derivs[:, None] * phi + hv * dphi
+        hphi_d = sset.h_field.derivs * phi + hv * dphi
         return signed_prefix(SampledField(sset.grid, hphi * g, hphi_d * g + hphi * dg),
                              sset.direction)
 
@@ -438,17 +439,16 @@ class TestSeedRows:
         dphi_rows = np.stack([s.phi0.derivs for s in seeds])
         cases = [
             # the diagonal of P: one (N, B) = (1, 1) stack per seed
-            (phi_rows[:, None, None], dphi_rows[:, None, None], phi_rows.T, dphi_rows.T),
+            (phi_rows[:, None, None], dphi_rows[:, None, None], phi_rows, dphi_rows),
             # a map: one stack shared by every seed
-            (phi0.values[None, None], phi0.derivs[None, None], phi0.values[:, None],
-             phi0.derivs[:, None]),
+            (phi0.values[None, None], phi0.derivs[None, None], phi0.values, phi0.derivs),
         ]
         for g_rows, dg_rows, g_stack, dg_stack in cases:
             g_rows, dg_rows = (np.broadcast_to(x, (m, 1, 1, g.n)) for x in (g_rows, dg_rows))
             values, derivs = _seed_kernels(sset, g_rows, dg_rows)
             ref = self._stacked_route(sset, g_stack, dg_stack)
-            assert np.array_equal(values[:, 0], ref.values.T)
-            assert np.array_equal(derivs[:, 0], ref.derivs.T)
+            assert np.array_equal(values[:, 0], ref.values)
+            assert np.array_equal(derivs[:, 0], ref.derivs)
 
 
 class TestFactorization:
@@ -479,7 +479,7 @@ class TestPotential:
     def test_uncoupled_returns_base(self, grid01):
         v0 = field_of("exp(-r)", grid01)
         sset = _free_regular_set(grid01, [-1.0, -4.0], [0.0, 0.0], v0=v0)
-        v = bargmann_potential(sset)
+        v = bargmann_potential(sset, p_matrix(sset))
         assert np.array_equal(v.values, v0.values)
 
     def test_single_seed_matches_chain(self):
@@ -490,18 +490,18 @@ class TestPotential:
         seed = solve(v0, h, -1.0, REGULAR_AT_LEFT)
         v_chain, _ = chain_second_step(darboux_transform(seed, he, v0), 0.8, Direction.FROM_LEFT)
         sset = make_seed_set([BargmannSeed(-1.0, 0.8, seed)], v0, he, Direction.FROM_LEFT)
-        v_barg = bargmann_potential(sset)
+        v_barg = bargmann_potential(sset, p_matrix(sset))
         assert np.max(np.abs(v_chain.values - v_barg.values)) < 1e-6
 
     def test_vanishes_at_origin_for_regular_seed(self, grid01):
         sset = _free_regular_set(grid01, [-1.0], [0.9])
-        v = bargmann_potential(sset)
+        v = bargmann_potential(sset, p_matrix(sset))
         assert v.values[0] == 0.0
 
     def test_derivative_channel(self):
         g = RadialGrid(0.0, 6.0, 6001)
         sset = _free_regular_set(g, [-0.25, -1.0], [0.5, 0.5])
-        v = bargmann_potential(sset)
+        v = bargmann_potential(sset, p_matrix(sset))
         assert np.max(np.abs(v.derivs[2:-2] - fd4(v.values, g.step))) < 1e-9
 
     def test_trace_route_matches_seed_image_sum(self):
@@ -664,7 +664,7 @@ class TestSolutions:
         pm = p_matrix(sset)
         y1 = transformed_seed_solutions(sset, pm)[0]
         phi = sset.seeds[0].phi0.values
-        expected = 0.7 * phi / pm.entries[:, 0, 0]
+        expected = 0.7 * phi / p_and_inverse(pm)[0][0, 0]
         assert np.max(np.abs(y1.values - expected)) < 1e-13
 
     def test_seed_images_linear_in_small_coeff(self, grid01):
@@ -741,7 +741,7 @@ class TestJostFrame:
         sset = make_seed_set(seeds, v0, parse("1"), Direction.FROM_RIGHT)
         # anchored at b up to the finite-interval tail (kappa_mu - kappa_nu) e^{-(kappa_mu + kappa_nu) b}
         pm = p_matrix(sset)
-        assert np.max(np.abs(pm.entries[-1] - np.eye(2))) < 1e-10
+        assert np.max(np.abs(p_and_inverse(pm)[0][..., -1] - np.eye(2))) < 1e-10
         v = bargmann_potential(sset, pm)
         for y in transformed_seed_solutions(sset, pm):
             assert residual(v, h1, y, tol=1e-5).passed

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: jobs, exports, re-verification, exit codes."""
 
+import hashlib
 import json
 import os
 import pathlib
@@ -313,6 +314,30 @@ class TestRunOtherModes:
         assert header == [
             "r", "phi_11", "dphi_11", "phi_12", "dphi_12", "phi_21", "dphi_21", "phi_22", "dphi_22"
         ]
+
+    def test_three_channel_artifacts_pinned(self, tmp_path):
+        # configs/two_channel.json with a third channel: no shipped config has
+        # N > 2, and the order of the CSV columns depends on how the N x N
+        # stacks are laid out; these are the bytes of every CSV artifact
+        cfg = json.loads((REPO / "configs" / "two_channel.json").read_text())
+        cfg["base"]["V0"].append("-1/(1+r)^2")
+        cfg["seeds"]["gamma_prime_sq"].append(-2.0)
+        cfg["seeds"]["c"].append(0.3)
+        cfg["eval_gammas"] = [g + [g[1] - 0.5] for g in cfg["eval_gammas"]]
+        cfg["output"]["prefix"] = "three_channel"
+        out = tmp_path / "out"
+        assert main(["run", _write_config(tmp_path / "job.json", cfg), "--out-dir", str(out)]) == 0
+        digests = {
+            p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.glob("*.csv"))
+        }
+        assert digests == {
+            "three_channel_potential.csv":
+                "0a310f743bf608647658b8b55ad24893828dd2d8cac58543b82c73662267206c",
+            "three_channel_solution_000.csv":
+                "5b8a778a508d555e4d5a61a071eef7f9b31c4f5bd7bf045960d21807102aba6d",
+            "three_channel_solution_001.csv":
+                "ebcf28f736c60b24085eec03172ea43dbeea81c53fe7f85afc940f696f7381ad",
+        }
 
 
 def _run_shipped_at_201_nodes(tmp_path, name, key, value):

@@ -142,6 +142,20 @@ class TestEvaluateOnGrid:
         assert np.max(np.abs(f.values - np.cosh(g.r))) < 1e-12
         assert np.max(np.abs(f.derivs - np.sinh(g.r))) < 1e-12
 
+    @pytest.mark.parametrize("text", ["r", "+r", "2", "-r", "exp(-r)", "r^2 + 1"])
+    def test_evaluate_returns_an_array_of_its_own(self, text):
+        # a fresh row is returned without a copy; a scalar row or r itself is
+        # copied, so writing to the result never reaches r or a later result
+        e = parse(text)
+        r = np.linspace(0.0, 2.0, 21)
+        r_before = r.copy()
+        out = e.evaluate(r)
+        expected = e.evaluate(r).copy()
+        assert out.flags.writeable and out.shape == r.shape
+        out[:] = -7.0
+        assert np.array_equal(r, r_before)
+        assert np.array_equal(e.evaluate(r), expected)
+
     def test_domain_violation_reports_node(self):
         g = RadialGrid(0.0, 3.0, 31)
         with pytest.raises(DomainError) as exc:

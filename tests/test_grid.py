@@ -57,10 +57,12 @@ class TestSampledField:
             SampledField(grid01, vals, np.zeros(grid01.n))
 
     def test_nonfinite_error_is_typed(self, grid01):
-        derivs = np.zeros((grid01.n, 2))
-        derivs[7, 1] = np.nan
+        # the first node holding a non-finite entry, whichever row holds it
+        derivs = np.zeros((2, grid01.n))
+        derivs[0, 9] = np.inf
+        derivs[1, 7] = np.nan
         with pytest.raises(NonFiniteFieldError) as exc:
-            SampledField(grid01, np.zeros((grid01.n, 2)), derivs)
+            SampledField(grid01, np.zeros((2, grid01.n)), derivs)
         assert isinstance(exc.value, ForgeError) and isinstance(exc.value, ValueError)
         assert exc.value.node == 7
         assert str(exc.value) == "derivs contains a non-finite entry at node 7"
@@ -139,6 +141,20 @@ class TestWronskian:
         )
         assert np.max(np.abs(lin)) < 1e-10
 
+    def test_wronskian_of_a_stack_is_row_by_row(self, grid01):
+        rows = [(field_of(a, grid01), field_of(b, grid01))
+                for a, b in (("sin(r)", "cos(r)"), ("exp(-r)", "r^3"))]
+
+        def stacked(fields):
+            return SampledField(grid01, np.stack([f.values for f in fields]),
+                                np.stack([f.derivs for f in fields]))
+
+        w = wronskian(stacked([f for f, _ in rows]), stacked([g for _, g in rows]))
+        for j, (f, g) in enumerate(rows):
+            one = wronskian(f, g)
+            assert np.array_equal(w.values[j], one.values)
+            assert np.array_equal(w.derivs[j], one.derivs)
+
 
 class TestPrefixIntegral:
     def test_zero(self, grid01):
@@ -191,17 +207,15 @@ class TestPrefixIntegral:
     def test_column_stack_matches_each_column(self, n, direction):
         g = RadialGrid(0.0, 3.0, n)
         cols = [field_of(t, g) for t in ("exp(-r)*cos(4*r)", "r^3 - 2*r", "sinh(r)^2")]
-        stack = SampledField(
-            g, np.stack([c.values for c in cols], axis=1), np.stack([c.derivs for c in cols], axis=1)
-        )
+        stack = SampledField(g, np.stack([c.values for c in cols]), np.stack([c.derivs for c in cols]))
         out = signed_prefix(stack, direction)
         for j, c in enumerate(cols):
             one = signed_prefix(c, direction)
-            assert np.array_equal(out.values[:, j], one.values)
-            assert np.array_equal(out.derivs[:, j], one.derivs)
+            assert np.array_equal(out.values[j], one.values)
+            assert np.array_equal(out.derivs[j], one.derivs)
 
     def test_column_stack_shape_mismatch_rejected(self, grid01):
-        stack = SampledField(grid01, np.ones((grid01.n, 2)), np.zeros((grid01.n, 2)))
+        stack = SampledField(grid01, np.ones((2, grid01.n)), np.zeros((2, grid01.n)))
         with pytest.raises(ValueError, match="shapes"):
             stack * const(grid01, 2.0)
         with pytest.raises(ValueError, match="shapes"):
@@ -215,8 +229,8 @@ class TestPrefixIntegral:
         texts = ("exp(-r)*cos(4*r)", "r^3 - 2*r", "sinh(r)^2")
         if columns:
             cols = [field_of(t, g) for t in texts]
-            f = SampledField(g, np.stack([c.values for c in cols], axis=1),
-                             np.stack([c.derivs for c in cols], axis=1))
+            f = SampledField(g, np.stack([c.values for c in cols]),
+                             np.stack([c.derivs for c in cols]))
         else:
             f = field_of(texts[0], g)
         ref = integrate_prefix(f, direction)

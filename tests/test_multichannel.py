@@ -8,6 +8,7 @@ import pytest
 
 import multichannel_reference as ref
 import solvforge.multichannel as multichannel_module
+from bargmann_dense_reference import p_and_inverse
 from conftest import const, fd4
 from solvforge import (
     REGULAR_AT_LEFT,
@@ -26,6 +27,7 @@ from solvforge import (
     matrix_residual,
     multichannel_potential,
     multichannel_solution,
+    multichannel_solutions,
     p_matrix,
     parse,
     seed_vectors,
@@ -51,12 +53,13 @@ def two_channel():
 
 def _channel_potential(cs, a):
     """Diagonal entry (a, a) of the base potential as a scalar field."""
-    return SampledField(cs.grid, cs.v0.values[:, a, a], cs.v0.derivs[:, a, a])
+    return SampledField(cs.grid, cs.v0.values[a, a], cs.v0.derivs[a, a])
 
 
 def test_two_channel_bits_pinned(two_channel):
     # configs/two_channel.json at its first eval_gammas entry: the exact bits
-    # of the potential, seed vectors, D (the 1 x 1 P) and both solution forms
+    # of the potential, seed vectors, D (the 1 x 1 P) and both solution forms,
+    # each array hashed with its nodes moved back to the first axis
     cs = two_channel
     gnew = [gp + 1.0 for gp in cs.gamma_prime_sq]
     fields = {
@@ -67,9 +70,11 @@ def test_two_channel_bits_pinned(two_channel):
         "wronskian": multichannel_solution(cs, gnew, form="wronskian"),
     }
     arrays = {name: (f.values, f.derivs) for name, f in fields.items()}
-    arrays["D"] = (transform_denominator(cs).entries,)
+    arrays["D"] = (p_and_inverse(transform_denominator(cs))[0],)
     digests = {
-        name: hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrs)).hexdigest()
+        name: hashlib.sha256(b"".join(
+            np.ascontiguousarray(np.moveaxis(a, -1, 0)).tobytes() for a in arrs
+        )).hexdigest()
         for name, arrs in arrays.items()
     }
     assert digests == {
@@ -80,6 +85,40 @@ def test_two_channel_bits_pinned(two_channel):
         "integral": "b85b6b418861686f1f0ab79edc84e1573cbff341cc788e63e187eecb9d2aac7d",
         "wronskian": "d4a7cf404dadd00331e7a2df47475eb46b12bf12301238bc4691ea94afef7da8",
     }
+
+
+def test_fields_adopt_the_core_arrays(two_channel, monkeypatch):
+    # every stacked field is C-contiguous with the nodes on its last axis, and
+    # holds the array the Bargmann core made, not a copy of it
+    made = []
+
+    def recorded(core):
+        def wrapped(*args):
+            out = core(*args)
+            made.append(out)
+            return out
+        return wrapped
+
+    for name in ("_potential", "_map"):
+        monkeypatch.setattr(multichannel_module, name,
+                            recorded(getattr(multichannel_module, name)))
+    cs = two_channel
+    n_ch, n = cs.n_channels, cs.grid.n
+    gnew = [gp + 1.0 for gp in cs.gamma_prime_sq]
+    # cs.psi0 and cs.denominator are seed_vectors(cs) and transform_denominator(cs)
+    pm = cs.denominator
+    fields = {
+        "psi0": (cs.psi0, (n_ch, n), (pm.seeds.psi[0], pm.seeds.dpsi[0])),
+        "psi": (transformed_seed_vectors(cs), (n_ch, n), (pm.images[0], pm.images_deriv[0])),
+        "potential": (multichannel_potential(cs), (n_ch, n_ch, n), made[0]),
+    }
+    solutions = multichannel_solutions(cs, gnew, ("integral", "wronskian"))
+    for form, phi, core in zip(("integral", "wronskian"), solutions, made[1:]):
+        fields[form] = (phi, (n_ch, n_ch, n), core)
+    for name, (f, shape, core) in fields.items():
+        for arr, core_arr in zip((f.values, f.derivs), core):
+            assert arr.shape == shape and arr.flags.c_contiguous, name
+            assert np.shares_memory(arr, core_arr), name
 
 
 def test_intermediates_computed_once_per_system(two_channel, monkeypatch):
@@ -112,7 +151,7 @@ class TestSeedVectors:
         g = RadialGrid(0.0, 2.0, 2001)
         cs = diagonal_base_system(["0"], "1", g, [-1.0], [0.7])
         psi0 = seed_vectors(cs)
-        assert np.max(np.abs(psi0.values[:, 0] - 0.7 * cs.phi0.values[:, 0, 0])) < 1e-14
+        assert np.max(np.abs(psi0.values[0] - 0.7 * cs.phi0.values[0, 0])) < 1e-14
 
     def test_satisfy_coupled_system(self, two_channel):
         cs = two_channel
@@ -126,7 +165,7 @@ class TestDenominator:
         g = RadialGrid(0.0, 2.0, 2001)
         cs = diagonal_base_system(["0"], "1", g, [-1.0], [0.0])
         d = transform_denominator(cs)
-        assert np.all(d.entries == 1.0)
+        assert np.all(p_and_inverse(d)[0] == 1.0)
         psi = transformed_seed_vectors(cs)
         assert np.all(psi.values == 0.0)
 
@@ -134,10 +173,10 @@ class TestDenominator:
         g = RadialGrid(0.0, 1.0, 1001)
         cs = diagonal_base_system(["0"], "1", g, [-1.0], [1.0])
         d = transform_denominator(cs)
-        assert d.entries[-1, 0, 0] == pytest.approx(D_AT_1, abs=1e-10)
+        assert p_and_inverse(d)[0][0, 0, -1] == pytest.approx(D_AT_1, abs=1e-10)
 
     def test_monotone_from_left(self, two_channel):
-        d = transform_denominator(two_channel).entries[:, 0, 0]
+        d = p_and_inverse(transform_denominator(two_channel))[0][0, 0]
         assert np.all(np.diff(d) >= -1e-15)
 
 
@@ -150,7 +189,7 @@ class TestPotentialMatrix:
 
     def test_exactly_symmetric(self, two_channel):
         v = multichannel_potential(two_channel)
-        defect = np.max(np.abs(v.values[:, 0, 1] - v.values[:, 1, 0]))
+        defect = np.max(np.abs(v.values[0, 1] - v.values[1, 0]))
         assert defect <= 1e-5
         assert defect < 1e-12  # psi is proportional to psi0, so it is exact
 
@@ -165,7 +204,7 @@ class TestPotentialMatrix:
         cs = two_channel
         v = multichannel_potential(cs)
         step = cs.grid.step
-        dev = np.abs(v.derivs[2:-2] - fd4(v.values, step))
+        dev = np.abs(v.derivs[..., 2:-2] - fd4(v.values, step))
         assert np.max(dev) < 1e-9
 
     def test_single_channel_reduces_to_bargmann(self):
@@ -173,7 +212,7 @@ class TestPotentialMatrix:
         g = RadialGrid(0.0, 4.0, 4001)
         c1 = 0.8
         cs = diagonal_base_system(["0"], "1 + exp(-r)", g, [-1.0], [c1])
-        v_mc = multichannel_potential(cs).values[:, 0, 0]
+        v_mc = multichannel_potential(cs).values[0, 0]
 
         v0 = const(g, 0.0)
         he = parse("1 + exp(-r)")
@@ -184,7 +223,7 @@ class TestPotentialMatrix:
         assert np.max(np.abs(v_mc - v_b.values)) < 1e-10
 
         d = transform_denominator(cs)
-        assert np.max(np.abs(d.entries - pm.entries)) < 1e-12
+        assert np.max(np.abs(p_and_inverse(d)[0] - p_and_inverse(pm)[0])) < 1e-12
 
     def test_asymmetric_base_rejected(self):
         g = RadialGrid(0.0, 2.0, 2001)
@@ -192,15 +231,15 @@ class TestPotentialMatrix:
         hf = evaluate_on_grid(h_expr, g)
         zero = const(g, 0.0)
         sol = solve(zero, hf, -1.0, REGULAR_AT_LEFT)
-        v0 = np.zeros((g.n, 2, 2))
-        v0[:, 0, 1] = 0.5
-        phi, dphi = np.zeros((g.n, 2, 2)), np.zeros((g.n, 2, 2))
+        v0 = np.zeros((2, 2, g.n))
+        v0[0, 1] = 0.5
+        phi, dphi = np.zeros((2, 2, g.n)), np.zeros((2, 2, g.n))
         for a in range(2):
-            phi[:, a, a], dphi[:, a, a] = sol.values, sol.derivs
+            phi[a, a], dphi[a, a] = sol.values, sol.derivs
         with pytest.raises(ValueError, match="symmetric"):
             ChannelSystem(
                 g, h_expr, hf,
-                SampledField(g, v0, np.zeros((g.n, 2, 2))),
+                SampledField(g, v0, np.zeros((2, 2, g.n))),
                 lambda gamma_sq: SampledField(g, phi, dphi),
                 (-1.0, -1.0),
                 (0.5, 0.5),
@@ -217,7 +256,7 @@ class TestSolutionMatrix:
         assert np.array_equal(phi.values, ref.values)
         # against directly solved base
         base = solve(_channel_potential(cs, 0), cs.h_field, 0.5, REGULAR_AT_LEFT)
-        assert np.array_equal(phi.values[:, 0, 0], base.values)
+        assert np.array_equal(phi.values[0, 0], base.values)
 
     def test_residual_at_shifted_spectra(self, two_channel):
         cs = two_channel
@@ -258,7 +297,7 @@ class TestSolutionMatrix:
         c1 = 0.8
         cs = diagonal_base_system(["0"], "1 + exp(-r)", g, [-1.0], [c1])
         gnew = [1.2]
-        phi_mc = multichannel_solution(cs, gnew).values[:, 0, 0]
+        phi_mc = multichannel_solution(cs, gnew).values[0, 0]
 
         v0 = const(g, 0.0)
         he = parse("1 + exp(-r)")
@@ -283,9 +322,9 @@ class TestSolutionMatrix:
             direction=Direction.FROM_RIGHT,
         )
         d = transform_denominator(cs)
-        assert np.all(d.entries > 0)
+        assert np.all(p_and_inverse(d)[0] > 0)
         v = multichannel_potential(cs)
-        assert np.max(np.abs(v.values[:, 0, 1] - v.values[:, 1, 0])) < 1e-12
+        assert np.max(np.abs(v.values[0, 1] - v.values[1, 0])) < 1e-12
         gnew = [gp - 0.75 for gp in cs.gamma_prime_sq]
         phi = multichannel_solution(cs, gnew)
         rep = matrix_residual(v, cs.h_field, phi, gnew, tol=1e-5)
@@ -319,14 +358,14 @@ def test_two_steps_on_a_coupled_base(frame, n):
     step1, (a, b), shift, c2, deltas, forms_delta = COMPOSED_FRAMES[frame]
     cs1 = diagonal_base_system(grid=RadialGrid(a, b, n), **step1)
     v1 = multichannel_potential(cs1)
-    assert np.max(np.abs(v1.values[:, 0, 1])) > 1.0
+    assert np.max(np.abs(v1.values[0, 1])) > 1.0
     # the constructor checks step 1's map at the new seed spectra against V1
     cs2 = ChannelSystem(
         cs1.grid, cs1.h, cs1.h_field, v1, partial(multichannel_solution, cs1),
         tuple(gp + shift for gp in cs1.gamma_prime_sq), c2, cs1.direction,
     )
     v2 = multichannel_potential(cs2)
-    assert np.max(np.abs(v2.values - v2.values.transpose(0, 2, 1))) < 1e-12
+    assert np.max(np.abs(v2.values - v2.values.swapaxes(0, 1))) < 1e-12
     rep = matrix_residual(v2, cs2.h_field, transformed_seed_vectors(cs2), cs2.gamma_prime_sq,
                           tol=1e-5)
     assert rep.passed
@@ -369,7 +408,8 @@ REFERENCE_TOL = 1e-12
 def _reference_gaps(cs, ocs, shifts):
     """sup|new - old| / sup|old| of V, V', psi, psi', D and both solution
     forms (values and derivatives) at each shift, for a system and its
-    reference built alike; an exactly zero reference must be matched exactly."""
+    reference built alike; an exactly zero reference must be matched exactly.
+    The reference's node-first stacks are compared with the nodes moved last."""
     v, ov = multichannel_potential(cs), ref.multichannel_potential(ocs)
     psi, opsi = transformed_seed_vectors(cs), ref.transformed_seed_vectors(ocs)
     pairs = {
@@ -377,7 +417,8 @@ def _reference_gaps(cs, ocs, shifts):
         "V'": (v.derivs, ov.derivs),
         "psi": (psi.values, opsi.values),
         "psi'": (psi.derivs, opsi.derivs),
-        "D": (transform_denominator(cs).entries[:, 0, 0], ref.transform_denominator(ocs).values),
+        "D": (p_and_inverse(transform_denominator(cs))[0][0, 0],
+              ref.transform_denominator(ocs).values),
     }
     for delta in shifts:
         gnew = [gp + delta for gp in cs.gamma_prime_sq]
@@ -388,6 +429,7 @@ def _reference_gaps(cs, ocs, shifts):
             pairs[f"{form} phi' at {delta}"] = (a.derivs, b.derivs)
     gaps = {}
     for name, (a, b) in pairs.items():
+        b = np.moveaxis(b, 0, -1)
         scale, gap = np.max(np.abs(b)), np.max(np.abs(a - b))
         gaps[name] = gap / scale if scale > 0 else (0.0 if gap == 0 else np.inf)
     return gaps

@@ -94,6 +94,18 @@ class TestSolve:
         with pytest.raises(BlowupError):
             solve(v0, h1, -10000.0, REGULAR_AT_LEFT)
 
+    def test_backward_blowup_node_mirrors_the_forward_one(self):
+        # V and h are constant, so the backward solve is the forward one
+        # mirrored and blows up at the mirrored node
+        g = RadialGrid(0.0, 10.0, 10001)
+        v0, h1 = unit_problem(g)
+        nodes = {}
+        for at in ("left", "right"):
+            with pytest.raises(BlowupError) as exc:
+                solve(v0, h1, -1e4, CustomBC(1.0, 0.0, at))
+            nodes[at] = exc.value.node
+        assert nodes == {"left": 5764, "right": g.n - 1 - 5764}
+
     def test_weight_must_be_positive(self, grid01):
         v0 = const(grid01, 0.0)
         h = field_of("r - 0.5", grid01)

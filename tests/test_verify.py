@@ -63,10 +63,10 @@ class TestResidual:
 
 
 def _stack(rows):
-    """(n, N, K) stack of an N x K nested list of fields or solutions."""
+    """(N, K, n) stack of an N x K nested list of fields or solutions."""
     grid = rows[0][0].grid
-    values = np.stack([np.stack([f.values for f in row], axis=-1) for row in rows], axis=1)
-    derivs = np.stack([np.stack([f.derivs for f in row], axis=-1) for row in rows], axis=1)
+    values = np.array([[f.values for f in row] for row in rows])
+    derivs = np.array([[f.derivs for f in row] for row in rows])
     return SampledField(grid, values, derivs)
 
 
